@@ -882,9 +882,10 @@ impl IpfsNetwork {
     }
 
     /// Mean logical bytes of per-node protocol state: warm-connection
-    /// arena + routing-table entries + address-book slab. Length-based
-    /// (not capacity-based), so the figure is independent of allocator
-    /// growth policy and of how many shards executed the run.
+    /// arena + routing-table entries + address-book slab + DHT record
+    /// store. Length-based (not capacity-based), so the figure is
+    /// independent of allocator growth policy and of how many shards
+    /// executed the run.
     pub fn bytes_per_node_estimate(&self) -> u64 {
         if self.nodes.is_empty() {
             return 0;
@@ -1004,10 +1005,8 @@ impl IpfsNetwork {
     /// Sweeps every node's provider store, dropping records past the 24 h
     /// expiry (§3.1) and metering them; returns how many were removed.
     /// The periodic table-refresh tick does this automatically when
-    /// [`NetworkConfig::table_refresh_interval`] is set. Expiry inside the
-    /// store runs on per-shard timing wheels — O(expired), not
-    /// O(records) — with the original full-table scan available as a
-    /// diff-gated reference via `IPFS_REPRO_EXPIRY=scan`.
+    /// [`NetworkConfig::table_refresh_interval`] is set. Each store scans
+    /// all of its provider records, so a sweep costs O(records stored).
     pub fn sweep_provider_records(&mut self) -> usize {
         let now = self.now();
         let mut removed = 0;

@@ -334,9 +334,8 @@ struct RegionState {
     /// stored_at)`; the timestamp drives lazy expiry validation.
     providers: HashMap<(u32, u64), (u32, SimTime)>,
     /// Record-expiry queue `(deadline, replica, cid)`, appended at store
-    /// dispatch so deadlines are nondecreasing — the VecDeque is the
-    /// lean stand-in for the netsim store's per-shard timing wheels:
-    /// each tick pops only the due prefix, O(expired) not O(records).
+    /// dispatch so deadlines are nondecreasing, so each tick pops only
+    /// the due prefix: O(expired), not O(records).
     /// A refreshed record is detected lazily (live `stored_at` newer
     /// than the popped deadline implies) and skipped.
     expiry: VecDeque<(SimTime, u32, u64)>,

@@ -5,17 +5,10 @@
 //! soft state: provider records expire after 24 h and are republished every
 //! 12 h "to prevent the system from storing and providing stale records".
 //!
-//! The provider table is sharded by key prefix (top nibble of the DHT key)
-//! and each shard owns a small single-level timing wheel of expiry
-//! deadlines, so [`RecordStore::expire`] costs O(slots advanced + expired)
-//! instead of O(stored records) — the difference between a node holding a
-//! dozen bench CIDs and one pinning hundreds of thousands. Wheel entries
-//! are validated lazily on pop: a record refreshed by the 12 h republish
-//! leaves its stale entry behind, and the pop simply skips any entry whose
-//! recorded deadline no longer matches the live record's. Set
-//! `IPFS_REPRO_EXPIRY=scan` to fall back to the full-scan reference path
-//! (diff-gated in `scripts/check.sh`); both paths remove exactly the same
-//! records.
+//! Provider records live in one map from DHT key to that key's providers.
+//! A refresh overwrites the record in place, so a store holds at most one
+//! entry per `(key, provider)`. [`RecordStore::expire`] scans the whole map;
+//! the only periodic caller sweeps small catalogs, so the scan is cheap.
 
 use crate::key::Key;
 use multiformats::{Multiaddr, PeerId};
@@ -27,18 +20,6 @@ pub const PROVIDER_EXPIRY: SimDuration = SimDuration::from_hours(24);
 
 /// Default provider-record republish interval (paper §3.1: 12 h).
 pub const PROVIDER_REPUBLISH: SimDuration = SimDuration::from_hours(12);
-
-/// Provider-table shards (indexed by the key's top nibble).
-const PROVIDER_SHARDS: usize = 16;
-
-/// Slots per shard expiry wheel.
-const WHEEL_SLOTS: usize = 256;
-
-/// Nanoseconds per wheel slot (2^39 ns ≈ 550 s). 256 slots cover ≈ 39 h —
-/// comfortably past the 24 h expiry horizon, so a freshly stored record's
-/// deadline always lands inside the wheel; anything further (records
-/// back-dated by tests, clock skew) parks in the overflow list.
-const WHEEL_SLOT_NS: u64 = 1 << 39;
 
 /// A provider record: "this peer can serve this CID".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,144 +63,10 @@ pub struct ValueRecord {
     pub received_at: SimTime,
 }
 
-/// How [`RecordStore::expire`] finds dead records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExpiryMode {
-    /// Per-shard timing wheels, O(expired) (default).
-    Wheel,
-    /// Full-table scan reference (`IPFS_REPRO_EXPIRY=scan`).
-    Scan,
-}
-
-impl ExpiryMode {
-    fn from_env() -> ExpiryMode {
-        match std::env::var("IPFS_REPRO_EXPIRY").as_deref() {
-            Ok("scan") => ExpiryMode::Scan,
-            _ => ExpiryMode::Wheel,
-        }
-    }
-}
-
-/// A pending expiry deadline for one `(key, provider)` record.
-#[derive(Debug, Clone)]
-struct ExpiryEntry {
-    deadline: SimTime,
-    key: Key,
-    provider: PeerId,
-}
-
-/// Single-level timing wheel of expiry deadlines (the PR 5 scheduler-wheel
-/// shape, shrunk to one level: deadlines span at most 24 h, so 256 slots
-/// of ~550 s suffice). `cursor` is the absolute slot index of the oldest
-/// not-yet-drained slot; entries whose slot lies beyond the horizon wait
-/// in `overflow` and migrate in as the cursor advances.
-#[derive(Debug, Clone)]
-struct ExpiryWheel {
-    slots: Vec<Vec<ExpiryEntry>>,
-    cursor: u64,
-    overflow: Vec<ExpiryEntry>,
-}
-
-impl ExpiryWheel {
-    fn new() -> ExpiryWheel {
-        ExpiryWheel { slots: vec![Vec::new(); WHEEL_SLOTS], cursor: 0, overflow: Vec::new() }
-    }
-
-    fn slot_of(deadline: SimTime) -> u64 {
-        deadline.as_nanos() / WHEEL_SLOT_NS
-    }
-
-    fn insert(&mut self, entry: ExpiryEntry) {
-        let abs = Self::slot_of(entry.deadline);
-        if abs >= self.cursor + WHEEL_SLOTS as u64 {
-            self.overflow.push(entry);
-        } else {
-            // Already-due entries land in the cursor slot and drain on the
-            // next advance.
-            let abs = abs.max(self.cursor);
-            self.slots[(abs % WHEEL_SLOTS as u64) as usize].push(entry);
-        }
-    }
-
-    /// Drains every entry with `deadline <= now`, calling `f` on each.
-    /// Entries sharing the `now` slot but not yet due go back in place.
-    fn advance(&mut self, now: SimTime, mut f: impl FnMut(&ExpiryEntry)) {
-        let target = Self::slot_of(now);
-        // Sweep fully-past slots. A jump larger than the wheel visits each
-        // slot once; any entry swept up early (it was parked beyond the
-        // old horizon clamp) is requeued below rather than dropped.
-        let mut requeue = Vec::new();
-        let steps = target.saturating_sub(self.cursor).min(WHEEL_SLOTS as u64);
-        for _ in 0..steps {
-            let idx = (self.cursor % WHEEL_SLOTS as u64) as usize;
-            for entry in self.slots[idx].drain(..) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else {
-                    requeue.push(entry);
-                }
-            }
-            self.cursor += 1;
-        }
-        self.cursor = target;
-        // The current slot may mix due and future deadlines: drain the due
-        // ones, keep the rest for a later advance.
-        let idx = (self.cursor % WHEEL_SLOTS as u64) as usize;
-        if self.slots[idx].iter().any(|e| e.deadline <= now) {
-            let mut keep = Vec::new();
-            for entry in self.slots[idx].drain(..) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else {
-                    keep.push(entry);
-                }
-            }
-            self.slots[idx] = keep;
-        }
-        // With the cursor settled, migrate overflow entries that are due
-        // or now fit the horizon, and reinsert anything swept up early.
-        if !self.overflow.is_empty() {
-            let mut keep = Vec::new();
-            for entry in std::mem::take(&mut self.overflow) {
-                if entry.deadline <= now {
-                    f(&entry);
-                } else if Self::slot_of(entry.deadline) < self.cursor + WHEEL_SLOTS as u64 {
-                    requeue.push(entry);
-                } else {
-                    keep.push(entry);
-                }
-            }
-            self.overflow = keep;
-        }
-        for entry in requeue {
-            self.insert(entry);
-        }
-    }
-
-    fn entry_count(&self) -> usize {
-        self.overflow.len() + self.slots.iter().map(|s| s.len()).sum::<usize>()
-    }
-}
-
-/// One prefix shard of the provider table: its records plus the expiry
-/// wheel tracking their deadlines.
-#[derive(Debug, Clone)]
-struct ProviderShard {
-    records: HashMap<Key, Vec<ProviderRecord>>,
-    wheel: ExpiryWheel,
-}
-
-impl ProviderShard {
-    fn new() -> ProviderShard {
-        ProviderShard { records: HashMap::new(), wheel: ExpiryWheel::new() }
-    }
-}
-
 /// Storage for provider, peer, and value records held by one DHT server.
 #[derive(Debug, Clone)]
 pub struct RecordStore {
-    shards: Vec<ProviderShard>,
-    expiry_mode: ExpiryMode,
+    providers: HashMap<Key, Vec<ProviderRecord>>,
     expiry: SimDuration,
     peers: HashMap<PeerId, PeerRecord>,
     values: HashMap<Key, ValueRecord>,
@@ -237,15 +84,8 @@ impl Default for RecordStore {
     }
 }
 
-/// Shard index for a key: its top nibble.
-fn shard_of(key: &Key) -> usize {
-    (key.0[0] >> 4) as usize
-}
-
 impl RecordStore {
     /// Creates an empty store with the paper's 24 h provider expiry.
-    /// Expiry strategy comes from `IPFS_REPRO_EXPIRY` (`scan` for the
-    /// full-scan reference; the wheel path is the default).
     pub fn new() -> RecordStore {
         RecordStore::with_expiry(PROVIDER_EXPIRY)
     }
@@ -255,8 +95,7 @@ impl RecordStore {
     /// length).
     pub fn with_expiry(expiry: SimDuration) -> RecordStore {
         RecordStore {
-            shards: (0..PROVIDER_SHARDS).map(|_| ProviderShard::new()).collect(),
-            expiry_mode: ExpiryMode::from_env(),
+            providers: HashMap::new(),
             expiry,
             peers: HashMap::new(),
             values: HashMap::new(),
@@ -269,15 +108,7 @@ impl RecordStore {
     /// Stores (or refreshes) a provider record. Refreshing resets the
     /// expiry clock — this is what the 12 h republish achieves.
     pub fn add_provider(&mut self, record: ProviderRecord) {
-        let shard = &mut self.shards[shard_of(&record.key)];
-        if self.expiry_mode == ExpiryMode::Wheel {
-            shard.wheel.insert(ExpiryEntry {
-                deadline: record.received_at.saturating_add(self.expiry),
-                key: record.key,
-                provider: record.provider.clone(),
-            });
-        }
-        let entry = shard.records.entry(record.key).or_default();
+        let entry = self.providers.entry(record.key).or_default();
         if let Some(existing) = entry.iter_mut().find(|r| r.provider == record.provider) {
             *existing = record;
         } else {
@@ -288,8 +119,7 @@ impl RecordStore {
 
     /// Returns unexpired provider records for `key` at time `now`.
     pub fn providers(&self, key: &Key, now: SimTime) -> Vec<ProviderRecord> {
-        self.shards[shard_of(key)]
-            .records
+        self.providers
             .get(key)
             .map(|rs| {
                 rs.iter().filter(|r| now.since(r.received_at) < self.expiry).cloned().collect()
@@ -312,76 +142,33 @@ impl RecordStore {
     /// Drops expired provider records; returns how many were removed.
     /// Peer records persist (they are refreshed on every connection in
     /// practice).
-    ///
-    /// On the wheel path this only touches slots the cursor passes plus the
-    /// records actually due; the scan reference walks every record. Both
-    /// remove exactly the records whose *live* `received_at` is ≥ 24 h old,
-    /// so the returned count (and all downstream metrics) are identical.
     pub fn expire(&mut self, now: SimTime) -> usize {
-        match self.expiry_mode {
-            ExpiryMode::Scan => self.expire_scan(now),
-            ExpiryMode::Wheel => self.expire_wheel(now),
-        }
-    }
-
-    fn expire_scan(&mut self, now: SimTime) -> usize {
         let expiry = self.expiry;
         let mut removed = 0;
-        for shard in &mut self.shards {
-            shard.records.retain(|_, rs| {
-                let before = rs.len();
-                rs.retain(|r| now.since(r.received_at) < expiry);
-                removed += before - rs.len();
-                !rs.is_empty()
-            });
-        }
-        removed
-    }
-
-    fn expire_wheel(&mut self, now: SimTime) -> usize {
-        let expiry = self.expiry;
-        let mut removed = 0;
-        for shard in &mut self.shards {
-            let records = &mut shard.records;
-            shard.wheel.advance(now, |entry| {
-                // Lazy validation: the entry is stale if the record was
-                // refreshed (live deadline moved past `now` — the refresh
-                // queued its own entry) or already removed.
-                let Some(rs) = records.get_mut(&entry.key) else { return };
-                let Some(pos) = rs.iter().position(|r| r.provider == entry.provider) else {
-                    return;
-                };
-                if now.since(rs[pos].received_at) < expiry {
-                    return; // refreshed since this deadline was queued
-                }
-                rs.remove(pos);
-                removed += 1;
-                if rs.is_empty() {
-                    records.remove(&entry.key);
-                }
-            });
-        }
+        self.providers.retain(|_, rs| {
+            let before = rs.len();
+            rs.retain(|r| now.since(r.received_at) < expiry);
+            removed += before - rs.len();
+            !rs.is_empty()
+        });
         removed
     }
 
     /// Number of live provider-record entries (across all keys).
     pub fn provider_entry_count(&self) -> usize {
-        self.shards.iter().map(|s| s.records.values().map(|v| v.len()).sum::<usize>()).sum()
+        self.providers.values().map(|v| v.len()).sum()
     }
 
-    /// Estimated resident bytes of the provider table (records plus
-    /// pending wheel entries), for memory-per-node accounting.
+    /// Estimated resident bytes of the provider table, for memory-per-node
+    /// accounting.
     pub fn bytes_estimate(&self) -> u64 {
         /// Estimated heap bytes per stored [`Multiaddr`].
         const ADDR_BYTES: usize = 48;
         let mut total = std::mem::size_of::<RecordStore>();
-        for shard in &self.shards {
-            total += shard.wheel.entry_count() * std::mem::size_of::<ExpiryEntry>();
-            for (key, rs) in &shard.records {
-                total += std::mem::size_of_val(key);
-                for r in rs {
-                    total += std::mem::size_of::<ProviderRecord>() + r.addrs.len() * ADDR_BYTES;
-                }
+        for (key, rs) in &self.providers {
+            total += std::mem::size_of_val(key);
+            for r in rs {
+                total += std::mem::size_of::<ProviderRecord>() + r.addrs.len() * ADDR_BYTES;
             }
         }
         total as u64
@@ -436,21 +223,6 @@ mod tests {
         }
     }
 
-    /// A store pinned to the scan reference path regardless of the
-    /// environment.
-    fn scan_store() -> RecordStore {
-        let mut s = RecordStore::new();
-        s.expiry_mode = ExpiryMode::Scan;
-        s
-    }
-
-    /// A store pinned to the wheel path regardless of the environment.
-    fn wheel_store() -> RecordStore {
-        let mut s = RecordStore::new();
-        s.expiry_mode = ExpiryMode::Wheel;
-        s
-    }
-
     #[test]
     fn add_and_get_providers() {
         let mut store = RecordStore::new();
@@ -485,6 +257,12 @@ mod tests {
         assert_eq!(store.providers(&k, t30).len(), 1);
         // Only one entry exists (refresh, not duplicate).
         assert_eq!(store.provider_entry_count(), 1);
+        // A sweep past the original 24 h deadline keeps the refreshed
+        // record; one past the refreshed 36 h deadline removes it.
+        assert_eq!(store.expire(t30), 0);
+        assert_eq!(store.provider_entry_count(), 1);
+        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(37)), 1);
+        assert_eq!(store.provider_entry_count(), 0);
     }
 
     #[test]
@@ -492,9 +270,21 @@ mod tests {
         let mut store = RecordStore::new();
         store.add_provider(record(key(1), 1, SimTime::ZERO));
         store.add_provider(record(key(2), 2, SimTime::ZERO + SimDuration::from_hours(20)));
-        let removed = store.expire(SimTime::ZERO + SimDuration::from_hours(30));
+        // Received far in the future of every sweep below but the last two.
+        let far = SimTime::ZERO + SimDuration::from_hours(100);
+        store.add_provider(record(key(3), 3, far));
+        let t30 = SimTime::ZERO + SimDuration::from_hours(30);
+        let removed = store.expire(t30);
         assert_eq!(removed, 1);
-        assert_eq!(store.provider_entry_count(), 1);
+        assert_eq!(store.provider_entry_count(), 2);
+        // A second sweep at the same instant is a no-op.
+        assert_eq!(store.expire(t30), 0);
+        assert_eq!(store.provider_entry_count(), 2);
+        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(45)), 1);
+        // The far-future record lives its full 24 h from receipt.
+        assert_eq!(store.expire(far + SimDuration::from_hours(23)), 0);
+        assert_eq!(store.expire(far + SimDuration::from_hours(25)), 1);
+        assert_eq!(store.provider_entry_count(), 0);
     }
 
     #[test]
@@ -522,79 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn wheel_expiry_skips_refreshed_records() {
-        let mut store = wheel_store();
-        let k = key(1);
-        store.add_provider(record(k, 1, SimTime::ZERO));
-        // Refresh at 12 h: the t=0 deadline (24 h) becomes stale.
-        store.add_provider(record(k, 1, SimTime::ZERO + PROVIDER_REPUBLISH));
-        // At 30 h the stale deadline has popped but the live record (fresh
-        // until 36 h) must survive.
-        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(30)), 0);
-        assert_eq!(store.provider_entry_count(), 1);
-        // At 37 h the refreshed deadline is due too.
-        assert_eq!(store.expire(SimTime::ZERO + SimDuration::from_hours(37)), 1);
-        assert_eq!(store.provider_entry_count(), 0);
-    }
-
-    #[test]
-    fn wheel_and_scan_paths_agree() {
-        // Same operation sequence on both paths: identical removal counts
-        // and surviving state at every step (mixed key prefixes hit
-        // different shards; staggered times hit different wheel slots).
-        let mut wheel = wheel_store();
-        let mut scan = scan_store();
-        for n in 0..200u64 {
-            let at = SimTime::ZERO + SimDuration::from_secs(n * 700); // spans slots
-            let r = record(key(n), n % 7, at);
-            wheel.add_provider(r.clone());
-            scan.add_provider(r);
-        }
-        // Refresh a third of them near the end of the window.
-        for n in (0..200u64).step_by(3) {
-            let at = SimTime::ZERO + SimDuration::from_hours(11);
-            let r = record(key(n), n % 7, at);
-            wheel.add_provider(r.clone());
-            scan.add_provider(r);
-        }
-        for hours in [12u64, 24, 25, 30, 36, 48, 70] {
-            let now = SimTime::ZERO + SimDuration::from_hours(hours);
-            assert_eq!(wheel.expire(now), scan.expire(now), "removed at {hours}h");
-            assert_eq!(
-                wheel.provider_entry_count(),
-                scan.provider_entry_count(),
-                "live at {hours}h"
-            );
-        }
-        assert_eq!(wheel.provider_entry_count(), 0);
-    }
-
-    #[test]
-    fn wheel_expire_is_idempotent_and_monotonic() {
-        let mut store = wheel_store();
-        for n in 0..50u64 {
-            store.add_provider(record(key(n), n, SimTime::ZERO));
-        }
-        let t25 = SimTime::ZERO + SimDuration::from_hours(25);
-        assert_eq!(store.expire(t25), 50);
-        assert_eq!(store.expire(t25), 0); // second call at same time: no-op
-        assert_eq!(store.expire(t25 + SimDuration::from_hours(100)), 0);
-    }
-
-    #[test]
-    fn overflow_entries_expire_eventually() {
-        let mut store = wheel_store();
-        // Received far in the future relative to the wheel cursor (still
-        // at t=0): the deadline overshoots the 39 h horizon and parks in
-        // the overflow list, then must still expire on time.
-        let at = SimTime::ZERO + SimDuration::from_hours(100);
-        store.add_provider(record(key(1), 1, at));
-        assert_eq!(store.expire(at + SimDuration::from_hours(23)), 0);
-        assert_eq!(store.expire(at + SimDuration::from_hours(25)), 1);
-        assert_eq!(store.provider_entry_count(), 0);
-    }
-
-    #[test]
     fn bytes_estimate_tracks_stored_records() {
         let mut store = RecordStore::new();
         let empty = store.bytes_estimate();
@@ -605,5 +322,92 @@ mod tests {
         assert!(full > empty);
         store.expire(SimTime::ZERO + SimDuration::from_hours(25));
         assert!(store.bytes_estimate() < full);
+    }
+
+    #[test]
+    fn refreshes_do_not_grow_the_store() {
+        // The 12 h republish refreshes the same (key, provider) over and
+        // over; the store must hold one entry for it, not one per refresh.
+        let mut store = RecordStore::new();
+        let k = key(1);
+        store.add_provider(record(k, 1, SimTime::ZERO));
+        let bytes = store.bytes_estimate();
+        for n in 1..=1_000u64 {
+            store.add_provider(record(k, 1, SimTime::ZERO + SimDuration::from_secs(n * 60)));
+        }
+        assert_eq!(store.bytes_estimate(), bytes);
+        assert_eq!(store.provider_entry_count(), 1);
+        assert_eq!(store.stored_provider_records, 1);
+    }
+
+    #[test]
+    fn proptest_store_matches_brute_force_model() {
+        use proptest::prelude::*;
+        // Small key and provider domains so adds often hit an existing
+        // (key, provider) and act as refreshes.
+        let keys: Vec<Key> = (0..6).map(key).collect();
+        let peers: Vec<PeerId> = (0..4).map(|n| Keypair::from_seed(n).peer_id()).collect();
+        proptest!(ProptestConfig::with_cases(64), |(
+            ops in proptest::collection::vec((0u8..4, any::<usize>(), 0u64..800), 1..200)
+        )| {
+            let mut store = RecordStore::new();
+            let mut model: Vec<ProviderRecord> = Vec::new();
+            let mut stored = 0u64;
+            let mut now = SimTime::ZERO;
+            for (op, pick, quarters) in ops {
+                // Times count quarter hours up to 200 h: receipt times land
+                // out of order, back-dated past the 24 h expiry, far in the
+                // future, and often exactly on an expiry boundary.
+                let at = SimTime::ZERO + SimDuration::from_secs(quarters * 900);
+                match op {
+                    // Add a record for a random (key, provider).
+                    0 => {
+                        let r = ProviderRecord {
+                            key: keys[pick % keys.len()],
+                            provider: peers[pick / keys.len() % peers.len()].clone(),
+                            addrs: vec![],
+                            received_at: at,
+                        };
+                        match model.iter_mut().find(|m| m.key == r.key && m.provider == r.provider) {
+                            Some(m) => *m = r.clone(),
+                            None => {
+                                model.push(r.clone());
+                                stored += 1;
+                            }
+                        }
+                        store.add_provider(r);
+                    }
+                    // Refresh a record the model still holds.
+                    1 if !model.is_empty() => {
+                        let i = pick % model.len();
+                        model[i].received_at = at;
+                        store.add_provider(model[i].clone());
+                    }
+                    // Advance the clock and sweep.
+                    2 => {
+                        now += SimDuration::from_secs(quarters % 64 * 900);
+                        let before = model.len();
+                        model.retain(|m| now.since(m.received_at) < PROVIDER_EXPIRY);
+                        prop_assert_eq!(store.expire(now), before - model.len());
+                    }
+                    // Sweep at an arbitrary instant, possibly in the past.
+                    _ => {
+                        let before = model.len();
+                        model.retain(|m| at.since(m.received_at) < PROVIDER_EXPIRY);
+                        prop_assert_eq!(store.expire(at), before - model.len());
+                    }
+                }
+                for k in &keys {
+                    let live: Vec<ProviderRecord> = model
+                        .iter()
+                        .filter(|m| m.key == *k && now.since(m.received_at) < PROVIDER_EXPIRY)
+                        .cloned()
+                        .collect();
+                    prop_assert_eq!(store.providers(k, now), live);
+                }
+                prop_assert_eq!(store.provider_entry_count(), model.len());
+                prop_assert_eq!(store.stored_provider_records, stored);
+            }
+        });
     }
 }

@@ -127,12 +127,11 @@ if ! cmp -s "$SWARM_DIR/j1.txt" "$SWARM_DIR/j4.txt"; then
 fi
 rm -rf "$SWARM_DIR"
 
-echo "== lifecycle smoke (determinism + expiry-mode + events/sec gates) =="
+echo "== lifecycle smoke (determinism + events/sec gates) =="
 # The content-lifecycle harness must exit 0 and print byte-identical
-# stdout (a) serially vs on 4 workers, (b) with the PDES cell on 1 vs 4
-# shards, and (c) with wheel vs reference-scan provider expiry — while
-# holding the headline cell's events/sec within 0.7x of the recorded
-# smoke baseline.
+# stdout (a) serially vs on 4 workers and (b) with the PDES cell on 1 vs 4
+# shards, while holding the headline cell's events/sec within 0.7x of the
+# recorded smoke baseline.
 cargo build --release -q -p bench --bin lifecycle
 LIFE_DIR="$(mktemp -d)"
 IPFS_REPRO_JOBS=1 IPFS_REPRO_SHARDS=1 ./target/release/lifecycle --smoke \
@@ -142,20 +141,6 @@ IPFS_REPRO_JOBS=4 IPFS_REPRO_SHARDS=4 ./target/release/lifecycle --smoke \
 if ! cmp -s "$LIFE_DIR/j1.txt" "$LIFE_DIR/j4.txt"; then
     echo "lifecycle --smoke output differs between jobs/shards 1 and 4" >&2
     diff "$LIFE_DIR/j1.txt" "$LIFE_DIR/j4.txt" >&2 || true
-    rm -rf "$LIFE_DIR"
-    exit 1
-fi
-IPFS_REPRO_EXPIRY=scan ./target/release/lifecycle --smoke \
-    > "$LIFE_DIR/scan.txt" 2> /dev/null
-# The wheel's slot bookkeeping is real memory the scan path doesn't
-# allocate, so the "node state" bytes_estimate legitimately differs;
-# every semantic line (records, messages, availability, digests) must
-# still match exactly.
-sed 's/; node state: .*$//' "$LIFE_DIR/j1.txt" > "$LIFE_DIR/j1.sem.txt"
-sed 's/; node state: .*$//' "$LIFE_DIR/scan.txt" > "$LIFE_DIR/scan.sem.txt"
-if ! cmp -s "$LIFE_DIR/j1.sem.txt" "$LIFE_DIR/scan.sem.txt"; then
-    echo "lifecycle --smoke output differs between IPFS_REPRO_EXPIRY wheel and scan" >&2
-    diff "$LIFE_DIR/j1.sem.txt" "$LIFE_DIR/scan.sem.txt" >&2 || true
     rm -rf "$LIFE_DIR"
     exit 1
 fi
