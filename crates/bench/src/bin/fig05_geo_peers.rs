@@ -4,7 +4,7 @@
 //! peers (~8.8 %) counted repeatedly.
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use simnet::geodb::Country;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::HashMap;
@@ -35,7 +35,7 @@ fn main() {
         }
     }
     let mut rows: Vec<(Country, u64)> = counts.into_iter().collect();
-    rows.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    rank_by_count(&mut rows, |&(c, n)| (n, c));
 
     let paper: &[(&str, f64)] =
         &[("US", 28.5), ("CN", 24.2), ("FR", 8.3), ("TW", 7.2), ("KR", 6.7)];

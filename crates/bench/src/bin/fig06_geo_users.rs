@@ -5,7 +5,7 @@
 //! gateway is in the US, so its anycast catchment skews American).
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use gateway::workload::{GatewayWorkload, WorkloadConfig};
 use simnet::geodb::Country;
 use std::collections::HashMap;
@@ -37,7 +37,7 @@ fn main() {
     let total_req = workload.requests.len() as f64;
     let total_users = workload.user_countries.len() as f64;
     let mut rows: Vec<(Country, u64)> = req_counts.iter().map(|(c, n)| (*c, *n)).collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut rows, |&(c, n)| (n, c));
 
     let table: Vec<Vec<String>> = rows
         .iter()

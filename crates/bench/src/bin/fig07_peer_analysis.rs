@@ -7,7 +7,7 @@
 //! top-10 IPs host ~66 k; top-10 ASes hold 64.9 % of IPs, top-100 90.6 %.
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use crawler::{ChurnMonitor, MonitorConfig};
 use simnet::geodb::Country;
 use simnet::{Population, PopulationConfig, SimDuration};
@@ -44,7 +44,7 @@ fn main() {
     }
     println!("--- Figure 7a: reliable peers (>90% uptime) by country [permille of all peers] ---");
     let mut rows: Vec<(Country, u64)> = reliable.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut rows, |&(c, n)| (n, c));
     let table: Vec<Vec<String>> = rows
         .iter()
         .take(8)
@@ -58,7 +58,7 @@ fn main() {
 
     println!("--- Figure 7b: always-unreachable peers by country [% of all peers] ---");
     let mut rows: Vec<(Country, u64)> = unreachable.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut rows, |&(c, n)| (n, c));
     let table: Vec<Vec<String>> = rows
         .iter()
         .take(8)
@@ -94,7 +94,7 @@ fn main() {
     let mut ases: Vec<(u32, u32, u64)> =
         per_as.into_iter().map(|(asn, (rank, n))| (asn, rank, n)).collect();
     let total_ips: u64 = ases.iter().map(|(_, _, n)| n).sum();
-    ases.sort_by_key(|(_, _, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut ases, |&(asn, _, n)| (n, asn));
     let top10_share: u64 = ases.iter().take(10).map(|(_, _, n)| n).sum();
     let top100_share: u64 = ases.iter().take(100).map(|(_, _, n)| n).sum();
     println!("distinct ASes: {} (paper: 2715)", ases.len());

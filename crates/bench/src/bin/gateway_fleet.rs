@@ -19,22 +19,7 @@
 //!   non-zero on a >30 % regression.
 
 use bench::gateway_fleet::{headline_label, render_json, render_report, run_all, FleetBenchConfig};
-use bench::runner::{banner, jobs_from_env, seed_from_env, Scale};
-
-/// Pulls `"requests_per_sec": <x>` for the entry `"label": "<label>"` out
-/// of an exported JSON (scanning, no parser dependency).
-fn baseline_requests_per_sec(json: &str, label: &str) -> Option<f64> {
-    let entry = json.split("\"label\"").find(|chunk| {
-        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
-    })?;
-    let after = entry.split("\"requests_per_sec\"").nth(1)?;
-    let num: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
+use bench::runner::{banner, baseline_gate, jobs_from_env, seed_from_env, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -74,22 +59,6 @@ fn main() {
     }
 
     if let Some(path) = check_against {
-        let baseline = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| baseline_requests_per_sec(&s, label))
-            .unwrap_or_else(|| {
-                eprintln!("gateway_fleet: cannot read baseline requests/sec from {path}");
-                std::process::exit(2);
-            });
-        let current = headline.requests_per_sec;
-        let ratio = current / baseline.max(1e-9);
-        eprintln!(
-            "regression gate [{label}]: current {current:.0} requests/s vs baseline \
-{baseline:.0} requests/s (ratio {ratio:.2})"
-        );
-        if ratio < 0.7 {
-            eprintln!("gateway_fleet: requests/sec regressed >30% against {path}");
-            std::process::exit(1);
-        }
+        baseline_gate("gateway_fleet", &path, label, "requests_per_sec", headline.requests_per_sec);
     }
 }

@@ -5,7 +5,7 @@
 //! 6.9 % (rank 6797), AS3462 HINET 5.3 % (rank 340).
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use simnet::geodb::NAMED_ASES;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::{HashMap, HashSet};
@@ -35,7 +35,7 @@ fn main() {
     let total_ips: usize = ips_per_as.values().map(|(_, s)| s.len()).sum();
     let mut rows: Vec<(u32, u32, usize)> =
         ips_per_as.into_iter().map(|(asn, (rank, ips))| (asn, rank, ips.len())).collect();
-    rows.sort_by_key(|(_, _, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut rows, |&(asn, _, n)| (n, asn));
 
     // Emit ASes until cumulative share exceeds 50 % (the paper's cut).
     let mut cum = 0.0;

@@ -4,7 +4,7 @@
 //! 0.18 %, Hetzner 0.13 %, ...; Non-Cloud 97.71 %.
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use simnet::geodb::CLOUD_PROVIDERS;
 use simnet::{Population, PopulationConfig, SimDuration};
 use std::collections::HashMap;
@@ -31,7 +31,7 @@ fn main() {
     }
     let total = pop.peers.len() as f64;
     let mut rows: Vec<(u8, u64)> = per_provider.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    rank_by_count(&mut rows, |&(idx, n)| (n, idx));
 
     let table: Vec<Vec<String>> = rows
         .iter()

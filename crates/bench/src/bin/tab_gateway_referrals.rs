@@ -7,7 +7,7 @@
 //! and Canada (12.7 %)." — the NFT/video-streaming integration story.
 
 use bench::runner::{banner, seed_from_env, ScaleConfig};
-use bench::stats::markdown_table;
+use bench::stats::{markdown_table, rank_by_count};
 use gateway::workload::{GatewayWorkload, Referrer, WorkloadConfig};
 use std::collections::HashMap;
 
@@ -68,7 +68,7 @@ fn main() {
     }
     let total: u64 = by_country.values().sum();
     let mut rows: Vec<(&str, u64)> = by_country.into_iter().collect();
-    rows.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    rank_by_count(&mut rows, |&(c, n)| (n, c));
     let paper: &[(&str, f64)] = &[("US", 47.3), ("IS", 20.0), ("CA", 12.7)];
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -51,7 +51,9 @@
 //! (digest lines included) must be byte-identical with the knob on or off
 //! — `scripts/check.sh` diffs both.
 
-use bench::runner::{banner, seed_from_env, shards_from_env, Scale, ScaleConfig};
+use bench::runner::{
+    banner, baseline_gate, json_field, seed_from_env, shards_from_env, Scale, ScaleConfig,
+};
 use bytes::Bytes;
 use ipfs_core::{IpfsNetwork, NetworkConfig, ShardSim, ShardSimConfig};
 use kademlia::routing::{PeerInfo, RoutingTable, K};
@@ -121,9 +123,9 @@ fn dtrace_from_env() -> bool {
 }
 
 /// Simulation section: publish/retrieve rounds on a live network. With
-/// `dtrace` on, the op tracer, distributed-trace collection, and the
-/// flight recorder all run — observation only, so every deterministic
-/// field must match the untraced run exactly.
+/// `dtrace` on, tracing runs with collection and post-mortems (op logs,
+/// remote fragments, flight rings) — observation only, so every
+/// deterministic field must match the untraced run exactly.
 fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
     let pop = Population::generate(
         PopulationConfig {
@@ -142,8 +144,7 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
     );
     let [provider, requester] = net.vantage_ids(2)[..] else { unreachable!() };
     if dtrace {
-        net.set_trace_config(ipfs_core::TraceConfig::enabled());
-        net.set_dtrace(ipfs_core::obs::dtrace::DtraceConfig::full(None));
+        net.set_trace_config(ipfs_core::TraceConfig { collect: true, postmortem: true });
     }
 
     let events_before = net.events_processed;
@@ -446,21 +447,6 @@ bytes_per_node={}",
     )
 }
 
-/// Pulls `"events_per_sec": <x>` for the entry `"label": "<label>"` out of
-/// a previously exported JSON (scanning, no parser dependency).
-fn baseline_events_per_sec(json: &str, label: &str) -> Option<f64> {
-    let entry = json.split("\"label\"").find(|chunk| {
-        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
-    })?;
-    let after = entry.split("\"events_per_sec\"").nth(1)?;
-    let num: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
 /// Tracing overhead budget gate: the smoke sim cell with tracing + the
 /// flight recorder armed must keep ≥ 0.8× the untraced events/sec, and
 /// every deterministic output must be identical (tracing observes, never
@@ -642,25 +628,8 @@ fn main() {
     if let Some(path) = check_against {
         // Gate both headline rates: the netsim cell and the PDES cell.
         for label in [cells[0].label, pdes_cells[0].label] {
-            let baseline = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|s| baseline_events_per_sec(&s, label))
-                .unwrap_or_else(|| {
-                    eprintln!(
-                        "throughput: cannot read baseline events/sec for {label} from {path}"
-                    );
-                    std::process::exit(2);
-                });
-            let current = baseline_events_per_sec(&json, label).expect("own JSON parses");
-            let ratio = current / baseline.max(1e-9);
-            println!(
-                "regression gate [{label}]: current {current:.0} events/s vs baseline \
-{baseline:.0} events/s (ratio {ratio:.2})"
-            );
-            if ratio < 0.7 {
-                eprintln!("throughput: {label} events/sec regressed >30% against {path}");
-                std::process::exit(1);
-            }
+            let current = json_field(&json, label, "events_per_sec").expect("own JSON parses");
+            baseline_gate("throughput", &path, label, "events_per_sec", current);
         }
     }
 }

@@ -25,8 +25,8 @@ use crate::runner::{run_cells_with_jobs, Scale};
 use crate::stats::percentile;
 use bytes::Bytes;
 use faultsim::FaultPlan;
-use ipfs_core::obs::dtrace::{exemplar_json, DtraceConfig};
-use ipfs_core::{IpfsNetwork, LatencyBreakdown, NetworkConfig, SpanTree, TraceConfig};
+use ipfs_core::obs::dtrace::exemplar_json;
+use ipfs_core::{IpfsNetwork, LatencyBreakdown, NetworkConfig, OpId, TraceConfig};
 use multiformats::Cid;
 use simnet::latency::VantagePoint;
 use simnet::{Population, PopulationConfig, SimDuration};
@@ -166,18 +166,26 @@ fn requester_for(region: VantagePoint) -> VantagePoint {
     }
 }
 
-fn check_critical_path(trace: &ipfs_core::OpTrace, result: &mut CellResult) {
-    if let Some(tree) = SpanTree::from_trace(trace) {
-        if tree.critical_path_duration() > tree.duration() {
-            result.critical_path_violations += 1;
-        }
+/// Checks an op's stitched tree (its critical path must fit inside the
+/// op) and, when `keep` is set, keeps the tree as a trace exemplar.
+fn check_tree(net: &IpfsNetwork, op: OpId, cell: &str, keep: bool, result: &mut CellResult) {
+    let tree = net.stitched_trace(op).expect("tracing enabled");
+    if tree.critical_path_duration() > tree.duration() {
+        result.critical_path_violations += 1;
+    }
+    if keep {
+        result.exemplars.push(TraceExemplar {
+            dur_nanos: tree.duration().as_nanos(),
+            op: op.0,
+            json: exemplar_json(cell, op, &tree),
+        });
     }
 }
 
-/// Runs one (region, faulted) cell. With `trace` on, distributed trace
-/// fragments are collected and every op's stitched tree is kept as an
-/// exemplar (observation only — the measured tables are byte-identical
-/// either way).
+/// Runs one (region, faulted) cell. Every op is traced and its stitched
+/// tree checked; with `trace` on, each tree is also kept as an exemplar
+/// (observation only — the measured tables are byte-identical either
+/// way).
 fn run_cell(
     cfg: &LatencyConfig,
     region: VantagePoint,
@@ -198,10 +206,7 @@ fn run_cell(
     let mut net = IpfsNetwork::from_population(&pop, &vantages, NetworkConfig::default(), seed);
     let [publisher, requester] = net.vantage_ids(2)[..] else { unreachable!() };
     let publisher_peer = net.peer_id(publisher).clone();
-    net.set_trace_config(TraceConfig::enabled());
-    if trace {
-        net.set_dtrace(DtraceConfig::collecting());
-    }
+    net.set_trace_config(TraceConfig::collecting());
 
     // Age the network before measuring: §4.3 ran against the live DHT,
     // where churn leaves stale routing entries that walks must dial and
@@ -244,8 +249,7 @@ fn run_cell(
         let pub_op = net.publish(publisher, cid.clone());
         net.run_until_quiet();
         let pr = net.publish_reports.last().unwrap().clone();
-        let pub_trace = net.take_trace(pub_op).expect("tracing enabled");
-        let pub_bd = LatencyBreakdown::from_trace(&pub_trace);
+        let pub_bd = LatencyBreakdown::from_trace(net.trace(pub_op).expect("tracing enabled"));
         // Trace-derived components must reconcile with the state
         // machine's own report: exact partition AND per-phase agreement.
         if pub_bd.total() != pr.total
@@ -254,16 +258,7 @@ fn run_cell(
         {
             result.sum_mismatches += 1;
         }
-        check_critical_path(&pub_trace, &mut result);
-        if trace {
-            if let Some(tree) = net.stitched_trace(pub_op, &pub_trace) {
-                result.exemplars.push(TraceExemplar {
-                    dur_nanos: pub_bd.total().as_nanos(),
-                    op: pub_op.0,
-                    json: exemplar_json(&cell_tag("publish"), pub_op, &tree),
-                });
-            }
-        }
+        check_tree(&net, pub_op, &cell_tag("publish"), trace, &mut result);
         if pr.success {
             result.publish_ok += 1;
             result.publish.push(&pub_bd);
@@ -279,8 +274,7 @@ fn run_cell(
         net.run_until_quiet();
         result.retrieve_attempts += 1;
         let rr = net.retrieve_reports.last().unwrap().clone();
-        let ret_trace = net.take_trace(ret_op).expect("tracing enabled");
-        let ret_bd = LatencyBreakdown::from_trace(&ret_trace);
+        let ret_bd = LatencyBreakdown::from_trace(net.trace(ret_op).expect("tracing enabled"));
         if ret_bd.total() != rr.total
             || ret_bd.bitswap_probe != rr.bitswap_probe
             || ret_bd.provider_walk != rr.provider_walk
@@ -289,16 +283,7 @@ fn run_cell(
         {
             result.sum_mismatches += 1;
         }
-        check_critical_path(&ret_trace, &mut result);
-        if trace {
-            if let Some(tree) = net.stitched_trace(ret_op, &ret_trace) {
-                result.exemplars.push(TraceExemplar {
-                    dur_nanos: ret_bd.total().as_nanos(),
-                    op: ret_op.0,
-                    json: exemplar_json(&cell_tag("retrieve"), ret_op, &tree),
-                });
-            }
-        }
+        check_tree(&net, ret_op, &cell_tag("retrieve"), trace, &mut result);
         if rr.success {
             result.retrieve_ok += 1;
             result.retrieve.push(&ret_bd);

@@ -174,9 +174,75 @@ pub fn banner(artifact: &str, description: &str) {
     println!("==================================================================");
 }
 
+/// Pulls `"<field>": <x>` for the entry `"label": "<label>"` out of an
+/// exported JSON (scanning, no parser dependency).
+pub fn json_field(json: &str, label: &str, field: &str) -> Option<f64> {
+    let entry = json.split("\"label\"").find(|chunk| {
+        chunk.trim_start().trim_start_matches(':').trim_start().starts_with(&format!("\"{label}\""))
+    })?;
+    let after = entry.split(&format!("\"{field}\"")).nth(1)?;
+    let num: String = after
+        .chars()
+        .skip_while(|c| *c == ':' || c.is_whitespace())
+        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+        .collect();
+    num.parse().ok()
+}
+
+/// The wall-clock regression gate of the harness binaries: `current`, the
+/// headline cell's `field` (a rate such as `events_per_sec`), must stay at
+/// or above 0.7× the value recorded for `label` in the baseline JSON at
+/// `path`. Exits 2 when the baseline cannot be read and 1 on a
+/// regression; `bin` names the binary in the messages.
+pub fn baseline_gate(bin: &str, path: &str, label: &str, field: &str, current: f64) {
+    let baseline = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|s| json_field(&s, label, field))
+        .unwrap_or_else(|| {
+            eprintln!("{bin}: cannot read baseline {field} for {label} from {path}");
+            std::process::exit(2);
+        });
+    let unit = field.replace("_per_sec", "/s");
+    let ratio = current / baseline.max(1e-9);
+    eprintln!(
+        "regression gate [{label}]: current {current:.0} {unit} vs baseline {baseline:.0} {unit} \
+(ratio {ratio:.2})"
+    );
+    if ratio < 0.7 {
+        eprintln!("{bin}: {label} {field} regressed >30% against {path}");
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_field_reads_every_committed_baseline_headline() {
+        let baselines = [
+            (include_str!("../../../results/BENCH_throughput_smoke_baseline.json"), "smoke"),
+            (include_str!("../../../results/BENCH_throughput_smoke_baseline.json"), "pdes_smoke"),
+            (
+                include_str!("../../../results/BENCH_swarm_smoke_baseline.json"),
+                crate::swarm::headline_label(true),
+            ),
+            (
+                include_str!("../../../results/BENCH_lifecycle_smoke_baseline.json"),
+                crate::lifecycle::headline_label(true),
+            ),
+        ];
+        for (json, label) in baselines {
+            let v = json_field(json, label, "events_per_sec");
+            assert!(v.is_some_and(|v| v > 0.0), "{label}: {v:?}");
+        }
+        let fleet = include_str!("../../../results/BENCH_gateway_fleet.json");
+        let label = crate::gateway_fleet::headline_label(true);
+        assert!(json_field(fleet, label, "requests_per_sec").is_some_and(|v| v > 0.0));
+        // A label that is absent, or a field its entry lacks, reads as None.
+        assert_eq!(json_field(fleet, "no_such_cell", "requests_per_sec"), None);
+        assert_eq!(json_field(fleet, label, "events_per_sec"), None);
+    }
 
     #[test]
     fn default_scale_is_small() {

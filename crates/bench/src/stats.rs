@@ -94,6 +94,17 @@ impl Summary {
     }
 }
 
+/// Ranks rows by count, largest first, breaking ties by key, smallest
+/// first. `count_key` maps a row to its `(count, key)`. Rows gathered
+/// from a `HashMap` arrive in hash order; without the key tie-break,
+/// tied rows (and any top-N cut through them) would differ run to run.
+pub fn rank_by_count<T, N: Ord, K: Ord>(rows: &mut [T], count_key: impl Fn(&T) -> (N, K)) {
+    rows.sort_by(|a, b| {
+        let ((na, ka), (nb, kb)) = (count_key(a), count_key(b));
+        nb.cmp(&na).then(ka.cmp(&kb))
+    });
+}
+
 /// Renders a markdown table: a header row plus data rows.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -136,6 +147,22 @@ pub fn ascii_series(title: &str, points: &[(f64, f64)], width: usize) -> String 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rank_by_count_breaks_ties_by_key() {
+        let expected = vec![("b", 5), ("a", 3), ("c", 3), ("d", 3), ("e", 1)];
+        // Every rotation of the input ranks the same way.
+        for shift in 0..expected.len() {
+            let mut rows = expected.clone();
+            rows.rotate_left(shift);
+            rank_by_count(&mut rows, |&(k, n)| (n, k));
+            assert_eq!(rows, expected, "rotation {shift}");
+        }
+        // Rows wider than a pair pick their count and key.
+        let mut ases = vec![(7u32, 2u32, 10u64), (3, 9, 10), (5, 1, 40)];
+        rank_by_count(&mut ases, |&(asn, _, n)| (n, asn));
+        assert_eq!(ases, vec![(5, 1, 40), (3, 9, 10), (7, 2, 10)]);
+    }
 
     #[test]
     fn percentile_basics() {

@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::export::TraceExemplar;
 use crate::runner::{run_cells_with_jobs, Scale};
 use bytes::Bytes;
-use ipfs_core::obs::dtrace::{exemplar_json, DtraceConfig};
+use ipfs_core::obs::dtrace::exemplar_json;
 use ipfs_core::obs::names;
 use ipfs_core::{IpfsNetwork, NetworkConfig, NodeId, TraceConfig};
 use simnet::latency::VantagePoint;
@@ -163,8 +163,7 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     // only under `--trace-out`): pure observation, the deterministic
     // report is byte-identical either way.
     if trace {
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::collecting());
+        net.set_trace_config(TraceConfig::collecting());
     }
     let wall = Instant::now();
     let events_before = net.events_processed;
@@ -173,16 +172,12 @@ fn run_cell(spec: &CellSpec, cfg: &SwarmBenchConfig, seed: u64, trace: bool) -> 
     let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
     let events_per_sec = (net.events_processed - events_before) as f64 / elapsed;
     let mut exemplars = Vec::new();
-    if trace {
-        if let Some(tr) = net.take_trace(ret_op) {
-            if let Some(tree) = net.stitched_trace(ret_op, &tr) {
-                exemplars.push(TraceExemplar {
-                    dur_nanos: tree.duration().as_nanos(),
-                    op: ret_op.0,
-                    json: exemplar_json(&format!("{}/retrieve", spec.label), ret_op, &tree),
-                });
-            }
-        }
+    if let Some(tree) = net.stitched_trace(ret_op) {
+        exemplars.push(TraceExemplar {
+            dur_nanos: tree.duration().as_nanos(),
+            op: ret_op.0,
+            json: exemplar_json(&format!("{}/retrieve", spec.label), ret_op, &tree),
+        });
     }
 
     let rr = net.retrieve_reports[0].clone();

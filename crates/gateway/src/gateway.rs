@@ -483,9 +483,8 @@ mod tests {
 
     #[test]
     fn network_fetches_record_gateway_spans_in_the_distributed_trace() {
-        use ipfs_core::obs::dtrace::DtraceConfig;
         let (mut net, mut gw, workload) = setup(120, 40);
-        net.set_dtrace(DtraceConfig::collecting());
+        net.set_trace_config(ipfs_core::TraceConfig::collecting());
         gw.serve_all(&mut net, &workload);
         assert!(gw.metrics.get(names::GATEWAY_NETWORK_FETCHES) > 0);
         let frags = net.dtrace_fragments();

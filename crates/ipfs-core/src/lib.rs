@@ -60,11 +60,12 @@ pub use experiment::{DhtPerfConfig, DhtPerfExperiment, DhtPerfResults};
 pub use ipns::{IpnsRecord, IpnsStore};
 pub use netsim::{IpfsNetwork, NetworkConfig, NodeId};
 pub use node::IpfsNode;
+pub use obs::dtrace::TraceConfig;
 pub use obs::span::{CriticalHop, LatencyBreakdown, Span, SpanTree};
 pub use obs::timeseries::TimeSeries;
 pub use obs::{
     DialClass, HistogramMode, HistogramStats, MetricsRegistry, OpTrace, StreamingHistogram,
-    TraceConfig, TraceEvent, TraceEventKind, Tracer,
+    TraceEvent, TraceEventKind,
 };
 pub use ops::{OpId, PublishReport, RetrieveReport};
 pub use pinning::{PinReceipt, PinningService};

@@ -15,11 +15,10 @@ use crate::config::{NodeConfig, TimeoutModel};
 use crate::conn::ConnSet;
 use crate::ipns::IpnsRecord;
 use crate::node::IpfsNode;
-use crate::obs::dtrace::{self, DtraceConfig, DtraceSink, SpanFragment, TraceCtx};
+use crate::obs::dtrace::{self, DtraceSink, SpanFragment, TraceConfig, TraceCtx};
 use crate::obs::span::SpanTree;
 use crate::obs::{
-    names, CounterHandle, DialClass, HistogramHandle, MetricsRegistry, OpTrace, TraceConfig,
-    TraceEventKind, Tracer,
+    names, CounterHandle, DialClass, HistogramHandle, MetricsRegistry, OpTrace, TraceEventKind,
 };
 use crate::ops::{
     IpnsPublishReport, IpnsResolveReport, OpId, PublishPhase, PublishReport, RetrievePhase,
@@ -546,10 +545,9 @@ pub struct IpfsNetwork {
     metrics: MetricsRegistry,
     /// Pre-resolved handles into `metrics` for the per-event hot path.
     hot: HotMetrics,
-    /// Per-operation trace collector (off by default).
-    tracer: Tracer,
-    /// Distributed-trace storage: per-node flight rings (always on), the
-    /// stitching collection, and per-op context bookkeeping.
+    /// Trace storage (off by default): each op's origin and event log,
+    /// per-node flight rings and the stitching collection. Rings and
+    /// collection fill only while the sink is active.
     dtrace: DtraceSink,
     /// Rendered flight-recorder post-mortems, drained by experiments.
     postmortems: Vec<(OpId, String)>,
@@ -687,7 +685,6 @@ impl IpfsNetwork {
             events_processed: 0,
             metrics,
             hot,
-            tracer: Tracer::default(),
             dtrace: DtraceSink::new(node_count),
             postmortems: Vec::new(),
             faults: FaultOracle::idle(),
@@ -919,34 +916,17 @@ impl IpfsNetwork {
         &mut self.metrics
     }
 
-    /// Enables/disables per-operation tracing. Already-collected traces
-    /// are kept.
+    /// Configures tracing: op event logs and remote fragments kept for
+    /// stitching, and flight-recorder post-mortems. The flight rings fill
+    /// only while either is on. Already-collected traces are kept.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
-        self.tracer.set_config(config);
+        self.dtrace.set_config(config);
     }
 
-    /// The trace collected for an operation (tracing must have been
-    /// enabled before the operation started).
+    /// The trace collected for an operation (collection must have been on
+    /// when the operation started).
     pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
-        self.tracer.trace(op)
-    }
-
-    /// Removes and returns the trace collected for an operation.
-    pub fn take_trace(&mut self, op: OpId) -> Option<OpTrace> {
-        self.tracer.take(op)
-    }
-
-    /// Removes and returns every collected trace, sorted by [`OpId`] —
-    /// the deterministic order bulk exports must use.
-    pub fn drain_traces(&mut self) -> Vec<(OpId, OpTrace)> {
-        self.tracer.drain_sorted()
-    }
-
-    /// Configures the distributed-trace sink: fragment collection for
-    /// stitching, the always-on flight recorder, and its post-mortem
-    /// deadline.
-    pub fn set_dtrace(&mut self, cfg: DtraceConfig) {
-        self.dtrace.set_config(cfg);
+        self.dtrace.trace(op)
     }
 
     /// The remote span fragments collected so far (record order).
@@ -954,13 +934,11 @@ impl IpfsNetwork {
         self.dtrace.fragments()
     }
 
-    /// Stitches an op's requester-side trace with every remote fragment
-    /// its trace id produced, yielding one distributed [`SpanTree`]. The
-    /// op must have been started while the sink was active (its origin
-    /// node is re-derived from the sink's registry).
-    pub fn stitched_trace(&self, op: OpId, trace: &OpTrace) -> Option<SpanTree> {
-        let node = self.dtrace.op_node(op)?;
-        dtrace::stitch(node, op, trace, self.dtrace.fragments())
+    /// Stitches an op's trace with every remote fragment its trace id
+    /// produced, yielding one distributed [`SpanTree`]. `None` unless
+    /// collection was on when the op started.
+    pub fn stitched_trace(&self, op: OpId) -> Option<SpanTree> {
+        dtrace::stitch(op, self.dtrace.trace(op)?, self.dtrace.fragments())
     }
 
     /// Removes and returns every rendered flight-recorder post-mortem, in
@@ -986,8 +964,8 @@ impl IpfsNetwork {
         if !self.dtrace.active() {
             return;
         }
-        let Some(origin) = self.dtrace.op_node(op) else { return };
-        let tid = dtrace::trace_id(origin, op);
+        let Some(trace) = self.dtrace.trace(op) else { return };
+        let tid = dtrace::trace_id(trace.origin, op);
         self.dtrace.record_span(
             tid,
             dtrace::root_span(tid),
@@ -1266,9 +1244,9 @@ impl IpfsNetwork {
         );
         self.metrics.incr(names::IPNS_PUBLISH_OPS);
         let t0 = self.now();
-        self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_publish" });
-        self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         self.dtrace.note_op(op, id);
+        self.dtrace.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_publish" });
+        self.dtrace.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         let key = Key::from_peer(&record.name);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Closest);
         self.query_owner.insert((id, qid), op);
@@ -1285,9 +1263,9 @@ impl IpfsNetwork {
         self.ops.insert(op, OpState::ResolveIpns { node: id, name: name.clone(), t0: self.now() });
         self.metrics.incr(names::IPNS_RESOLVE_OPS);
         let t0 = self.now();
-        self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_resolve" });
-        self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         self.dtrace.note_op(op, id);
+        self.dtrace.record_with(op, t0, || TraceEventKind::OpStarted { kind: "ipns_resolve" });
+        self.dtrace.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         let key = Key::from_peer(name);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Value);
         self.query_owner.insert((id, qid), op);
@@ -1315,9 +1293,9 @@ impl IpfsNetwork {
         if !silent {
             self.metrics.incr(names::PUBLISH_OPS);
         }
-        self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "publish" });
-        self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         self.dtrace.note_op(op, id);
+        self.dtrace.record_with(op, t0, || TraceEventKind::OpStarted { kind: "publish" });
+        self.dtrace.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "walk" });
         let key = Key::from_cid(&cid);
         let (qid, outputs) = self.nodes[id].node.dht.start_query(key, QueryTarget::Closest);
         self.query_owner.insert((id, qid), op);
@@ -1456,9 +1434,9 @@ impl IpfsNetwork {
             },
         );
         self.metrics.incr(names::RETRIEVE_OPS);
-        self.tracer.record_with(op, t0, || TraceEventKind::OpStarted { kind: "retrieve" });
-        self.tracer.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "bitswap_probe" });
         self.dtrace.note_op(op, id);
+        self.dtrace.record_with(op, t0, || TraceEventKind::OpStarted { kind: "retrieve" });
+        self.dtrace.record_with(op, t0, || TraceEventKind::PhaseEntered { phase: "bitswap_probe" });
         // Opportunistic Bitswap: broadcast WANT-HAVE to connected peers
         // (§3.2, Figure 3 step 4). Idle connections expired first: the
         // connection manager would have closed them long ago, so they must
@@ -1493,7 +1471,7 @@ impl IpfsNetwork {
         if still_probing {
             self.queue
                 .schedule(self.cfg.bitswap_probe_timeout, NetEvent::BitswapProbeTimeout { op });
-            self.tracer
+            self.dtrace
                 .record_with(op, t0, || TraceEventKind::TimerArmed { timer: "bitswap_probe" });
             if self.cfg.parallel_dht_and_bitswap {
                 self.begin_provider_walk(op);
@@ -1704,10 +1682,10 @@ impl IpfsNetwork {
                 }
                 self.pending_rpcs.remove(&(to, query, from_peer.clone()));
                 self.metrics.incr_handle(self.hot.dht_rpc_ok);
-                if self.tracer.is_enabled() {
+                if self.dtrace.collecting() {
                     if let Some(&op) = self.query_owner.get(&(to, query)) {
                         let peer = self.resolve(&from_peer).unwrap_or(usize::MAX);
-                        self.tracer.record_with(op, now, || TraceEventKind::RpcOk { peer });
+                        self.dtrace.record_with(op, now, || TraceEventKind::RpcOk { peer });
                     }
                 }
                 let outputs = self.nodes[to].node.dht.on_response(query, &from_peer, &response);
@@ -1722,10 +1700,10 @@ impl IpfsNetwork {
             NetEvent::RpcFail { node, query, peer } => {
                 if self.pending_rpcs.remove(&(node, query, peer.clone())) {
                     self.metrics.incr_handle(self.hot.dht_rpc_failed);
-                    if self.tracer.is_enabled() {
+                    if self.dtrace.collecting() {
                         if let Some(&op) = self.query_owner.get(&(node, query)) {
                             let p = self.resolve(&peer).unwrap_or(usize::MAX);
-                            self.tracer
+                            self.dtrace
                                 .record_with(op, now, || TraceEventKind::RpcFailed { peer: p });
                         }
                     }
@@ -1879,7 +1857,7 @@ impl IpfsNetwork {
         } else {
             names::IPNS_PUBLISH_FAILED
         });
-        self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success: ok });
+        self.dtrace.record_with(op, now, || TraceEventKind::OpFinished { success: ok });
         self.ipns_publish_reports.push(IpnsPublishReport {
             op,
             node,
@@ -1889,7 +1867,6 @@ impl IpfsNetwork {
             records_stored: stored,
             success: ok,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn finish_ipns_resolve(&mut self, now: SimTime, op: OpId, value: Option<Vec<u8>>) {
@@ -1910,7 +1887,7 @@ impl IpfsNetwork {
         } else {
             names::IPNS_RESOLVE_FAILED
         });
-        self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success });
+        self.dtrace.record_with(op, now, || TraceEventKind::OpFinished { success });
         self.ipns_resolve_reports.push(IpnsResolveReport {
             op,
             node,
@@ -1919,7 +1896,6 @@ impl IpfsNetwork {
             record,
             success,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn on_churn(&mut self, id: NodeId, online: bool) {
@@ -2078,7 +2054,6 @@ impl IpfsNetwork {
                 if *outstanding == 0 {
                     // Sweep maintenance is silent: no publish report.
                     self.ops.remove(&op);
-                    self.dtrace.finish_op(op);
                 }
                 return;
             }
@@ -2112,8 +2087,8 @@ impl IpfsNetwork {
             return;
         }
         self.metrics.incr(names::BITSWAP_PROBE_TIMEOUTS);
-        self.tracer.record_with(op, now, || TraceEventKind::TimerFired { timer: "bitswap_probe" });
-        self.tracer
+        self.dtrace.record_with(op, now, || TraceEventKind::TimerFired { timer: "bitswap_probe" });
+        self.dtrace
             .record_with(op, now, || TraceEventKind::PhaseEntered { phase: "provider_walk" });
         let action = {
             let Some(OpState::Retrieve {
@@ -2192,20 +2167,10 @@ impl IpfsNetwork {
         self.pending_rpcs.insert((from, query, to.peer.clone()));
         self.metrics.incr_handle(self.hot.rpc_sent[request_kind(&request)]);
         let mut ctx = TraceCtx::NONE;
-        if self.tracer.is_enabled() {
+        if self.dtrace.collecting() {
             if let Some(&op) = self.query_owner.get(&(from, query)) {
-                let now = self.now();
                 let peer = self.resolve(&to.peer).unwrap_or(usize::MAX);
-                let kind = request.name();
-                self.tracer.record_with(op, now, || TraceEventKind::RpcSent { kind, peer });
-                // The context numbering MUST advance in lockstep with the
-                // `RpcSent` records just written: the stitcher re-derives
-                // rpc span ids by counting those events on the requester.
-                let tid = dtrace::trace_id(from, op);
-                ctx = TraceCtx {
-                    trace_id: tid,
-                    parent_span: dtrace::rpc_span(tid, self.dtrace.next_rpc_seq(op)),
-                };
+                ctx = self.dtrace.record_rpc_sent(op, self.now(), request.name(), peer);
             }
         }
         match self.dial(from, &to.peer) {
@@ -2232,11 +2197,11 @@ impl IpfsNetwork {
             }
             None => {
                 let (delay, class) = self.sample_fail_delay();
-                if self.tracer.is_enabled() {
+                if self.dtrace.collecting() {
                     if let Some(&op) = self.query_owner.get(&(from, query)) {
                         let now = self.now();
                         let peer = self.resolve(&to.peer).unwrap_or(usize::MAX);
-                        self.tracer
+                        self.dtrace
                             .record_with(op, now, || TraceEventKind::DialFailed { peer, class });
                     }
                 }
@@ -2250,7 +2215,7 @@ impl IpfsNetwork {
 
     fn on_query_done(&mut self, op: OpId, outcome: QueryOutcome, stats: QueryStats) {
         let now = self.now();
-        self.tracer.record_with(op, now, || TraceEventKind::QueryConverged {
+        self.dtrace.record_with(op, now, || TraceEventKind::QueryConverged {
             rpcs: stats.rpcs_sent,
             responses: stats.responses,
             failures: stats.failures,
@@ -2408,7 +2373,7 @@ impl IpfsNetwork {
         }
         match action {
             Action::PublishBatch { node, cid, peers } => {
-                self.tracer
+                self.dtrace
                     .record_with(op, now, || TraceEventKind::PhaseEntered { phase: "rpc_batch" });
                 let provider = Arc::clone(self.nodes[node].node.info());
                 let key = Key::from_cid(&cid);
@@ -2439,10 +2404,9 @@ impl IpfsNetwork {
                 // survive — expiry is 24 h against a 12 h sweep cadence).
                 self.metrics.incr(names::PROVIDER_SWEEP_BATCH_FAILED);
                 self.ops.remove(&op);
-                self.dtrace.finish_op(op);
             }
             Action::IpnsBatch { node, key, value, peers } => {
-                self.tracer
+                self.dtrace
                     .record_with(op, now, || TraceEventKind::PhaseEntered { phase: "rpc_batch" });
                 for target in peers {
                     self.send_value_store(op, node, target, key, value.clone());
@@ -2487,7 +2451,7 @@ impl IpfsNetwork {
                         *walks_outstanding = to_walk.len();
                     }
                     self.metrics.incr(names::ADDR_BOOK_HITS);
-                    self.tracer.record_with(op, now, || TraceEventKind::AddrBookHit);
+                    self.dtrace.record_with(op, now, || TraceEventKind::AddrBookHit);
                     self.start_fetch(op, node, dial_now);
                 } else {
                     if let Some(OpState::Retrieve { phase, walks_outstanding, .. }) =
@@ -2496,7 +2460,7 @@ impl IpfsNetwork {
                         *phase = RetrievePhase::PeerWalk;
                         *walks_outstanding = to_walk.len();
                     }
-                    self.tracer.record_with(op, now, || TraceEventKind::PhaseEntered {
+                    self.dtrace.record_with(op, now, || TraceEventKind::PhaseEntered {
                         phase: "peer_walk",
                     });
                 }
@@ -2651,16 +2615,16 @@ impl IpfsNetwork {
         if let Some(OpState::Retrieve { t_fetch_start, .. }) = self.ops.get_mut(&op) {
             *t_fetch_start = Some(now);
         }
-        self.tracer.record_with(op, now, || TraceEventKind::PhaseEntered { phase: "fetch" });
+        self.dtrace.record_with(op, now, || TraceEventKind::PhaseEntered { phase: "fetch" });
         let mut guard_armed = false;
         let mut fail_delays: Vec<SimDuration> = Vec::new();
         for provider in providers {
             let peer = self.resolve(&provider.peer).unwrap_or(usize::MAX);
-            self.tracer.record_with(op, now, || TraceEventKind::DialStarted { peer });
+            self.dtrace.record_with(op, now, || TraceEventKind::DialStarted { peer });
             match self.dial(node, &provider.peer) {
                 Some((_, connect_delay)) => {
                     let warm = connect_delay == SimDuration::ZERO;
-                    self.tracer.record_with(op, now, || TraceEventKind::DialOk { peer, warm });
+                    self.dtrace.record_with(op, now, || TraceEventKind::DialOk { peer, warm });
                     if let Some(OpState::Retrieve { fetch_candidates, .. }) = self.ops.get_mut(&op)
                     {
                         if !fetch_candidates.contains(&provider.peer) {
@@ -2673,7 +2637,7 @@ impl IpfsNetwork {
                     );
                     if !guard_armed {
                         self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
-                        self.tracer.record_with(op, now, || TraceEventKind::TimerArmed {
+                        self.dtrace.record_with(op, now, || TraceEventKind::TimerArmed {
                             timer: "fetch_guard",
                         });
                         guard_armed = true;
@@ -2681,7 +2645,7 @@ impl IpfsNetwork {
                 }
                 None => {
                     let (delay, class) = self.sample_fail_delay();
-                    self.tracer.record_with(op, now, || TraceEventKind::DialFailed { peer, class });
+                    self.dtrace.record_with(op, now, || TraceEventKind::DialFailed { peer, class });
                     fail_delays.push(delay);
                 }
             }
@@ -2700,11 +2664,11 @@ impl IpfsNetwork {
     fn join_fetch(&mut self, op: OpId, node: NodeId, provider: Arc<PeerInfo>) {
         let now = self.now();
         let peer = self.resolve(&provider.peer).unwrap_or(usize::MAX);
-        self.tracer.record_with(op, now, || TraceEventKind::DialStarted { peer });
+        self.dtrace.record_with(op, now, || TraceEventKind::DialStarted { peer });
         match self.dial(node, &provider.peer) {
             Some((_, connect_delay)) => {
                 let warm = connect_delay == SimDuration::ZERO;
-                self.tracer.record_with(op, now, || TraceEventKind::DialOk { peer, warm });
+                self.dtrace.record_with(op, now, || TraceEventKind::DialOk { peer, warm });
                 if let Some(OpState::Retrieve { fetch_candidates, .. }) = self.ops.get_mut(&op) {
                     if !fetch_candidates.contains(&provider.peer) {
                         fetch_candidates.push(provider.peer.clone());
@@ -2717,7 +2681,7 @@ impl IpfsNetwork {
             }
             None => {
                 let (_, class) = self.sample_fail_delay();
-                self.tracer.record_with(op, now, || TraceEventKind::DialFailed { peer, class });
+                self.dtrace.record_with(op, now, || TraceEventKind::DialFailed { peer, class });
             }
         }
     }
@@ -2737,12 +2701,12 @@ impl IpfsNetwork {
         let (node, cid, existing, havers, candidates) =
             (*node, cid.clone(), *fetch_session, probe_havers.clone(), fetch_candidates.clone());
         let now = self.now();
-        if self.tracer.is_enabled() {
+        if self.dtrace.collecting() {
             // The dial component of the §6.2 split ends here: the
             // connection to the provider is up (instantly for warm
             // reuse) and the Bitswap exchange begins.
             let peer = self.resolve(&provider).unwrap_or(usize::MAX);
-            self.tracer.record_with(op, now, || TraceEventKind::DialCompleted { peer });
+            self.dtrace.record_with(op, now, || TraceEventKind::DialCompleted { peer });
         }
         if let Some(session) = existing {
             // A later swarm member came up: join the running session.
@@ -2931,10 +2895,10 @@ impl IpfsNetwork {
                 EngineOutput::BlockStored { session, .. } => {
                     self.metrics.incr(names::BITSWAP_BLOCKS_STORED);
                     self.metrics.incr_handle(self.hot.session_blocks_received);
-                    if self.tracer.is_enabled() {
+                    if self.dtrace.collecting() {
                         if let Some(&op) = self.session_owner.get(&(id, session)) {
                             let now = self.now();
-                            self.tracer.record_with(op, now, || TraceEventKind::BlockReceived);
+                            self.dtrace.record_with(op, now, || TraceEventKind::BlockReceived);
                         }
                     }
                 }
@@ -3016,7 +2980,7 @@ impl IpfsNetwork {
         };
         let ok = success && stored > 0;
         self.metrics.incr(if ok { names::PUBLISH_SUCCESS } else { names::PUBLISH_FAILED });
-        self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success: ok });
+        self.dtrace.record_with(op, now, || TraceEventKind::OpFinished { success: ok });
         self.publish_reports.push(PublishReport {
             op,
             node,
@@ -3030,7 +2994,6 @@ impl IpfsNetwork {
             walk_failures,
             success: ok,
         });
-        self.dtrace.finish_op(op);
     }
 
     fn finish_retrieve(&mut self, now: SimTime, op: OpId, success: bool) {
@@ -3072,7 +3035,7 @@ impl IpfsNetwork {
         if success && via_bitswap {
             self.metrics.incr(names::RETRIEVE_VIA_BITSWAP);
         }
-        self.tracer.record_with(op, now, || TraceEventKind::OpFinished { success });
+        self.dtrace.record_with(op, now, || TraceEventKind::OpFinished { success });
         self.retrieve_reports.push(RetrieveReport {
             op,
             node,
@@ -3088,28 +3051,15 @@ impl IpfsNetwork {
             via_bitswap,
             addrbook_hit,
         });
-        // Flight recorder: a failed, flagged (mid-fetch re-route), or
-        // deadline-breaching op dumps its full causal trail — every ring
-        // fragment its trace id touched on any node.
-        if self.dtrace.config().postmortem {
-            let breached =
-                self.dtrace.config().deadline.map(|d| now.since(t0) > d).unwrap_or(false);
-            if !success || breached || self.dtrace.is_flagged(op) {
-                let tid = dtrace::trace_id(node, op);
-                let entries = self.dtrace.ring_entries_for(tid);
-                let outcome = if !success {
-                    "failed"
-                } else if breached {
-                    "deadline_breached"
-                } else {
-                    "rerouted"
-                };
-                let text =
-                    dtrace::render_postmortem(op, node, "retrieve", outcome, t0, now, &entries);
-                self.postmortems.push((op, text));
-            }
+        // Flight recorder: a failed or flagged (mid-fetch re-route) op
+        // dumps its full causal trail — every ring fragment its trace id
+        // touched on any node.
+        if self.dtrace.config().postmortem && (!success || self.dtrace.is_flagged(op)) {
+            let entries = self.dtrace.ring_entries_for(dtrace::trace_id(node, op));
+            let outcome = if success { "rerouted" } else { "failed" };
+            let text = dtrace::render_postmortem(op, node, "retrieve", outcome, t0, now, &entries);
+            self.postmortems.push((op, text));
         }
-        self.dtrace.finish_op(op);
         // §3.1: "any peer that later retrieves the data becomes a
         // temporary ... content provider themselves by publishing a
         // provider record".
@@ -4199,8 +4149,7 @@ mod tests {
     #[test]
     fn stitched_retrieval_trace_reconciles_with_its_report() {
         let mut net = small_net(400, 7);
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::collecting());
+        net.set_trace_config(TraceConfig::collecting());
         let [provider, requester] = net.vantage_ids(2)[..] else { panic!() };
         let data = Bytes::from(vec![0xAB; 512 * 1024]);
         let cid = net.import_content(provider, &data);
@@ -4211,8 +4160,7 @@ mod tests {
         let rr = net.retrieve_reports[0].clone();
         assert!(rr.success, "retrieve must succeed: {rr:?}");
 
-        let trace = net.take_trace(op).expect("tracing was on");
-        let tree = net.stitched_trace(op, &trace).expect("op origin registered");
+        let tree = net.stitched_trace(op).expect("op traced");
         // The distributed tree reconciles with the op report: same
         // envelope, and a critical path that never exceeds it (integer
         // nanoseconds, no tolerance).
@@ -4249,8 +4197,7 @@ mod tests {
     #[test]
     fn crashed_session_peer_triggers_a_reroute_postmortem() {
         let mut net = small_net(300, 8);
-        net.set_trace_config(TraceConfig::enabled());
-        net.set_dtrace(DtraceConfig::full(None));
+        net.set_trace_config(TraceConfig { collect: true, postmortem: true });
         let [a, b, requester] = net.vantage_ids(3)[..] else { panic!() };
         // Non-repeating payload: a uniform fill would dedup every leaf
         // into one CID and leave too few wants to observe a re-route.

@@ -14,25 +14,27 @@
 //!   oracle, warm connections severed, messages cut or lost, crash-wave
 //!   victims — plus the `fault_recovery_secs` histogram of
 //!   time-to-first-successful-retrieval after heal.
-//! * **Traces** — a per-[`OpId`] sequence of timestamped [`TraceEvent`]s
-//!   recording the §3.2 content-retrieval pipeline (Bitswap probe →
-//!   provider walk → peer walk → dial → fetch) and the publish/IPNS
-//!   equivalents, collected by a [`Tracer`].
+//! * **Traces** — an [`OpTrace`] per [`OpId`](crate::ops::OpId): the origin node plus a
+//!   sequence of timestamped [`TraceEvent`]s recording the §3.2
+//!   content-retrieval pipeline (Bitswap probe → provider walk → peer
+//!   walk → dial → fetch) and the publish/IPNS equivalents. The
+//!   [`dtrace::DtraceSink`] keeps them, next to the span fragments remote
+//!   nodes record for the same ops.
 //!
-//! Tracing is off by default. [`Tracer::record_with`] takes a closure that
-//! builds the event, so a disabled tracer costs exactly one branch per
-//! call site and performs no allocation.
+//! Tracing is off by default. [`dtrace::DtraceSink::record_with`] takes a
+//! closure that builds the event, so a disabled sink costs exactly one
+//! branch per call site and performs no allocation.
 //!
-//! Three submodules build on this layer: [`names`] holds every canonical
-//! metric name as a constant, [`span`] folds an [`OpTrace`] into a causal
-//! span tree with critical-path analysis and the §6.2
+//! Four submodules build on this layer: [`names`] holds every canonical
+//! metric name as a constant, [`dtrace`] owns the trace sink and stitches
+//! an op's trace and its remote fragments into one span tree, [`span`]
+//! holds that tree's critical-path analysis and the §6.2
 //! [`LatencyBreakdown`](span::LatencyBreakdown), and [`timeseries`]
 //! buckets counter deltas and samples into windows of simulated time
 //! (the Fig. 4 longitudinal view).
 
-use crate::ops::OpId;
 use simnet::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 pub mod dtrace;
 pub mod names;
@@ -705,20 +707,6 @@ pub enum TraceEventKind {
         /// Timer label.
         timer: &'static str,
     },
-    /// A Bitswap message left this node for the operation.
-    BitswapSent {
-        /// Message type label ("WANT_HAVE", "BLOCK", ...).
-        kind: &'static str,
-        /// Destination node.
-        peer: usize,
-    },
-    /// A Bitswap message arrived for the operation.
-    BitswapReceived {
-        /// Message type label.
-        kind: &'static str,
-        /// Sending node.
-        peer: usize,
-    },
     /// A wanted block arrived and was stored.
     BlockReceived,
     /// The provider's address was already cached, skipping the peer walk
@@ -747,8 +735,6 @@ impl TraceEventKind {
             TraceEventKind::DialCompleted { .. } => "dial_completed",
             TraceEventKind::TimerArmed { .. } => "timer_armed",
             TraceEventKind::TimerFired { .. } => "timer_fired",
-            TraceEventKind::BitswapSent { .. } => "bitswap_sent",
-            TraceEventKind::BitswapReceived { .. } => "bitswap_received",
             TraceEventKind::BlockReceived => "block_received",
             TraceEventKind::AddrBookHit => "addr_book_hit",
             TraceEventKind::OpFinished { .. } => "op_finished",
@@ -780,10 +766,6 @@ impl TraceEventKind {
             TraceEventKind::TimerArmed { timer } | TraceEventKind::TimerFired { timer } => {
                 format!(",\"timer\":\"{timer}\"")
             }
-            TraceEventKind::BitswapSent { kind, peer }
-            | TraceEventKind::BitswapReceived { kind, peer } => {
-                format!(",\"kind\":\"{kind}\",\"peer\":{peer}")
-            }
             TraceEventKind::BlockReceived | TraceEventKind::AddrBookHit => String::new(),
             TraceEventKind::OpFinished { success } => format!(",\"success\":{success}"),
         }
@@ -802,6 +784,9 @@ pub struct TraceEvent {
 /// The accumulated trace of one operation.
 #[derive(Debug, Clone, Default)]
 pub struct OpTrace {
+    /// Node the operation runs on; with the op id it derives the trace id
+    /// ([`dtrace::trace_id`]).
+    pub origin: usize,
     /// Events in emission (and therefore time) order.
     pub events: Vec<TraceEvent>,
 }
@@ -850,100 +835,11 @@ impl OpTrace {
     }
 }
 
-/// Switches for trace collection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceConfig {
-    /// Master switch: when false, [`Tracer::record_with`] returns after a
-    /// single branch and never invokes its closure.
-    pub enabled: bool,
-}
-
-impl TraceConfig {
-    /// A config with tracing on.
-    pub fn enabled() -> Self {
-        TraceConfig { enabled: true }
-    }
-}
-
-/// Collects [`OpTrace`]s for in-flight and completed operations.
-#[derive(Debug, Clone, Default)]
-pub struct Tracer {
-    config: TraceConfig,
-    traces: HashMap<OpId, OpTrace>,
-}
-
-impl Tracer {
-    /// Creates a tracer with the given config.
-    pub fn new(config: TraceConfig) -> Self {
-        Tracer { config, traces: HashMap::new() }
-    }
-
-    /// Whether events are being collected.
-    pub fn is_enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    /// Replaces the config (existing traces are kept).
-    pub fn set_config(&mut self, config: TraceConfig) {
-        self.config = config;
-    }
-
-    /// Records an event for `op` at time `at`. The closure that builds the
-    /// event only runs when tracing is enabled, so the disabled path is a
-    /// single branch with no allocation.
-    #[inline]
-    pub fn record_with<F: FnOnce() -> TraceEventKind>(&mut self, op: OpId, at: SimTime, f: F) {
-        if !self.config.enabled {
-            return;
-        }
-        self.traces.entry(op).or_default().events.push(TraceEvent { at, kind: f() });
-    }
-
-    /// The trace collected for `op`, if any.
-    pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
-        self.traces.get(&op)
-    }
-
-    /// Removes and returns the trace collected for `op`.
-    pub fn take(&mut self, op: OpId) -> Option<OpTrace> {
-        self.traces.remove(&op)
-    }
-
-    /// All collected traces sorted by [`OpId`] — the deterministic order
-    /// every bulk export must use (the backing store is a `HashMap`, so
-    /// raw iteration order would depend on hashing).
-    pub fn iter_sorted(&self) -> Vec<(OpId, &OpTrace)> {
-        let mut all: Vec<(OpId, &OpTrace)> = self.traces.iter().map(|(k, v)| (*k, v)).collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
-    }
-
-    /// Removes and returns every collected trace, sorted by [`OpId`].
-    pub fn drain_sorted(&mut self) -> Vec<(OpId, OpTrace)> {
-        let mut all: Vec<(OpId, OpTrace)> = self.traces.drain().collect();
-        all.sort_by_key(|(id, _)| *id);
-        all
-    }
-
-    /// Number of operations with collected traces.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Whether no traces have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
-    /// Drops all collected traces.
-    pub fn clear(&mut self) {
-        self.traces.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::dtrace::{DtraceSink, TraceConfig};
     use super::*;
+    use crate::ops::OpId;
     use simnet::SimDuration;
 
     #[test]
@@ -1043,30 +939,34 @@ mod tests {
 
     #[test]
     fn disabled_tracer_never_invokes_closure() {
-        let mut tracer = Tracer::new(TraceConfig::default());
+        let mut sink = DtraceSink::new(1);
+        sink.note_op(OpId(1), 0);
         let mut called = false;
-        tracer.record_with(OpId(1), SimTime::ZERO, || {
+        sink.record_with(OpId(1), SimTime::ZERO, || {
             called = true;
             TraceEventKind::BlockReceived
         });
         assert!(!called, "closure must not run when tracing is disabled");
-        assert!(tracer.is_empty(), "no trace storage allocated when disabled");
+        assert!(sink.trace(OpId(1)).is_none(), "no trace storage allocated when disabled");
     }
 
     #[test]
     fn enabled_tracer_collects_in_order() {
-        let mut tracer = Tracer::new(TraceConfig::enabled());
+        let mut sink = DtraceSink::new(8);
+        sink.set_config(TraceConfig::collecting());
         let op = OpId(9);
-        tracer.record_with(op, SimTime::ZERO, || TraceEventKind::OpStarted { kind: "retrieve" });
-        tracer.record_with(op, SimTime::ZERO + SimDuration::from_secs(1), || {
+        sink.note_op(op, 7);
+        sink.record_with(op, SimTime::ZERO, || TraceEventKind::OpStarted { kind: "retrieve" });
+        sink.record_with(op, SimTime::ZERO + SimDuration::from_secs(1), || {
             TraceEventKind::PhaseEntered { phase: "provider_walk" }
         });
-        let trace = tracer.trace(op).unwrap();
+        // Events of an op the sink never saw start are dropped.
+        sink.record_with(OpId(10), SimTime::ZERO, || TraceEventKind::BlockReceived);
+        assert!(sink.trace(OpId(10)).is_none());
+        let trace = sink.trace(op).unwrap();
+        assert_eq!(trace.origin, 7);
         assert_eq!(trace.events.len(), 2);
         assert_eq!(trace.phases(), vec!["provider_walk"]);
-        let taken = tracer.take(op).unwrap();
-        assert_eq!(taken.events.len(), 2);
-        assert!(tracer.trace(op).is_none());
     }
 
     #[test]
@@ -1224,27 +1124,15 @@ mod tests {
     }
 
     #[test]
-    fn tracer_drain_is_sorted_by_op_id() {
-        let mut tracer = Tracer::new(TraceConfig::enabled());
-        for id in [9u64, 2, 151, 40, 1] {
-            tracer.record_with(OpId(id), SimTime::ZERO, || TraceEventKind::BlockReceived);
-        }
-        let ids: Vec<u64> = tracer.iter_sorted().iter().map(|(id, _)| id.0).collect();
-        assert_eq!(ids, vec![1, 2, 9, 40, 151]);
-        let drained = tracer.drain_sorted();
-        assert_eq!(drained.len(), 5);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0), "drain sorted by OpId");
-        assert!(tracer.is_empty());
-    }
-
-    #[test]
     fn trace_json_includes_timestamps_and_payload() {
-        let mut tracer = Tracer::new(TraceConfig::enabled());
-        let op = OpId(3);
-        tracer.record_with(op, SimTime::ZERO + SimDuration::from_millis(1500), || {
-            TraceEventKind::DialFailed { peer: 12, class: DialClass::Timeout5s }
-        });
-        let json = tracer.trace(op).unwrap().to_json();
+        let trace = OpTrace {
+            origin: 0,
+            events: vec![TraceEvent {
+                at: SimTime::ZERO + SimDuration::from_millis(1500),
+                kind: TraceEventKind::DialFailed { peer: 12, class: DialClass::Timeout5s },
+            }],
+        };
+        let json = trace.to_json();
         assert_eq!(
             json,
             "[{\"t_us\":1500000,\"event\":\"dial_failed\",\"peer\":12,\"class\":\"timeout_5s\"}]"

@@ -1,32 +1,35 @@
-//! Cross-node causal tracing and the crash flight recorder.
+//! The trace sink: per-op event logs, cross-node causal tracing and the
+//! crash flight recorder.
 //!
-//! The per-op [`super::Tracer`] only sees what the *requesting* node
-//! observes: a remote peer's handler time, uplink queueing, or mid-fetch
-//! re-routing collapses into an opaque RPC or fetch span. This module adds
-//! the distributed half:
+//! One [`DtraceSink`] owns everything tracing keeps, switched by one
+//! [`TraceConfig`]:
 //!
+//! * the requester's view of each op — an [`OpTrace`]: its origin node
+//!   and the events its state machine emitted (phases, RPCs, dials);
 //! * [`TraceCtx`] — a 16-byte `(trace_id, parent_span)` pair carried on
 //!   simulated messages (kademlia RPCs, Bitswap WANT/BLOCK traffic). Both
 //!   ids are **derived deterministically** from the operation's
 //!   `(origin node, op sequence)` — never from randomness — so any two
 //!   runs of the same seed produce the same ids at any worker/shard
-//!   count.
+//!   count;
 //! * [`SpanFragment`] — a fixed-size, `Copy`, allocation-free record of
 //!   one remote-side span (server handler time, BLOCK serve with uplink
 //!   queue wait, a re-routed want, a gateway serve tier), written by the
-//!   node where the work happened.
-//! * [`DtraceSink`] — per-node storage: a bounded [`FlightRing`] of the
-//!   most recent fragments (always on, one fixed buffer per active node)
-//!   plus an unbounded collection vector used for stitching when
-//!   [`DtraceConfig::collect`] is set.
-//! * [`stitch`] — joins the requester's [`OpTrace`] with every fragment
-//!   of the op's trace id into one distributed
+//!   node where the work happened. Fragments go into a bounded
+//!   per-node [`FlightRing`] and, when collecting, into an unbounded
+//!   vector kept for stitching. Both fill only while tracing is on:
+//!   every recording call site is gated by [`DtraceSink::active`].
+//!
+//! On top of the sink:
+//!
+//! * [`stitch`] — the one span-tree builder: joins an op's trace with
+//!   every fragment of its trace id into one distributed
 //!   [`SpanTree`](super::span::SpanTree). Stitching sorts fragments by a
 //!   total order first, so the result is byte-identical regardless of the
 //!   order fragments were gathered in (shards, job counts, shuffles).
 //! * [`render_postmortem`] — the flight-recorder dump: the causal trail
 //!   of one op across every node that touched it, rendered when the op
-//!   fails, breaches a deadline, or saw a mid-fetch re-route.
+//!   fails or saw a mid-fetch re-route.
 //!
 //! Span-id scheme (all through [`span_id`], a splitmix64 mix):
 //!
@@ -40,17 +43,21 @@
 //! | remote fragment         | `span_id(tid, FRAGMENT, node«32 | seq)`   |
 //!
 //! The requester side of the scheme is reconstructible from the op's
-//! trace alone (the stitcher counts `RpcSent` events the same way the
-//! sender numbered them), so no id ever needs to travel backwards.
+//! trace alone (the stitcher counts `RpcSent` events the same way
+//! [`DtraceSink::record_rpc_sent`] numbered them), so no id ever needs to
+//! travel backwards.
 
-use super::span::{Span, SpanTree};
-use super::{OpTrace, TraceEventKind};
+use super::span::{OpFrame, Span, SpanTree};
+use super::{OpTrace, TraceEvent, TraceEventKind};
 use crate::ops::OpId;
-use simnet::{SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use simnet::SimTime;
+use std::collections::{HashMap, HashSet};
 
 /// Sentinel for "no counterpart node" in [`SpanFragment::peer`].
 pub const NO_PEER: u32 = u32::MAX;
+
+/// Fragments each node's [`FlightRing`] retains.
+pub const RING_CAP: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Deterministic ids
@@ -202,9 +209,9 @@ impl SpanFragment {
 }
 
 /// A bounded ring of the most recent [`SpanFragment`]s one node recorded.
-/// The buffer is allocated once (at the configured capacity) on the
-/// node's first record and then overwritten in place, so steady-state
-/// recording is allocation-free.
+/// The buffer is allocated once ([`RING_CAP`] slots) on the node's first
+/// record and then overwritten in place, so steady-state recording is
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRing {
     buf: Vec<SpanFragment>,
@@ -220,20 +227,16 @@ impl FlightRing {
         s
     }
 
-    /// Records a fragment, overwriting the oldest once `cap` is reached.
-    pub fn push(&mut self, cap: usize, frag: SpanFragment) {
-        if cap == 0 {
-            return;
-        }
-        if self.buf.len() < cap {
-            if self.buf.capacity() < cap {
-                self.buf.reserve_exact(cap - self.buf.capacity());
-            }
+    /// Records a fragment, overwriting the oldest once [`RING_CAP`] is
+    /// reached.
+    pub fn push(&mut self, frag: SpanFragment) {
+        if self.buf.len() < RING_CAP {
+            self.buf.reserve_exact(RING_CAP - self.buf.len());
             self.buf.push(frag);
         } else {
-            self.buf[self.next % cap] = frag;
+            self.buf[self.next] = frag;
         }
-        self.next = (self.next + 1) % cap;
+        self.next = (self.next + 1) % RING_CAP;
     }
 
     /// Iterates the retained fragments (insertion order is not
@@ -253,56 +256,50 @@ impl FlightRing {
     }
 }
 
-/// Switches for distributed-trace collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DtraceConfig {
-    /// Keep every traced fragment for stitching (unbounded vector).
+/// What the trace sink keeps. Both switches off (the default) makes
+/// every tracing call site one untaken branch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceConfig {
+    /// Keep each op's event log and every remote fragment of its trace,
+    /// for stitching. RPCs carry a [`TraceCtx`] only while collecting.
     pub collect: bool,
-    /// Render flight-recorder post-mortems when an op fails, breaches
-    /// `deadline`, or saw a mid-fetch re-route.
+    /// Render a flight-recorder post-mortem when a retrieval fails or saw
+    /// a mid-fetch re-route.
     pub postmortem: bool,
-    /// Deadline whose breach triggers a post-mortem (in addition to
-    /// failure and re-route triggers).
-    pub deadline: Option<SimDuration>,
-    /// Per-node flight-ring capacity (fragments). The ring records
-    /// regardless of `collect`/`postmortem`; zero disables it.
-    pub ring_cap: usize,
 }
 
-impl Default for DtraceConfig {
-    fn default() -> Self {
-        DtraceConfig { collect: false, postmortem: false, deadline: None, ring_cap: 64 }
-    }
-}
-
-impl DtraceConfig {
-    /// Collection on (for stitched traces), post-mortems off.
+impl TraceConfig {
+    /// Collection on (event logs and stitched traces), post-mortems off.
     pub fn collecting() -> Self {
-        DtraceConfig { collect: true, ..Default::default() }
+        TraceConfig { collect: true, postmortem: false }
     }
 
-    /// Post-mortems on with an optional deadline trigger.
-    pub fn postmortems(deadline: Option<SimDuration>) -> Self {
-        DtraceConfig { postmortem: true, deadline, ..Default::default() }
-    }
-
-    /// Both collection and post-mortems.
-    pub fn full(deadline: Option<SimDuration>) -> Self {
-        DtraceConfig { collect: true, postmortem: true, deadline, ..Default::default() }
+    /// Post-mortems on, collection off.
+    pub fn postmortems() -> Self {
+        TraceConfig { collect: false, postmortem: true }
     }
 }
 
-/// Per-network distributed-trace storage: one [`FlightRing`] per node,
-/// the stitching collection, and the per-op bookkeeping the context
-/// derivation needs (RPC send counters, op origins, re-route flags).
+/// What the sink keeps about one op.
+#[derive(Debug, Clone, Default)]
+struct OpEntry {
+    /// Origin node and event log.
+    trace: OpTrace,
+    /// `RpcSent` events recorded so far: the next RPC's send index.
+    rpcs_sent: u32,
+    /// Whether the op saw a mid-fetch re-route.
+    flagged: bool,
+}
+
+/// Per-network trace storage: one entry per op started while the sink
+/// was active (origin node, event log, RPC send count, re-route flag),
+/// one [`FlightRing`] per node, and the stitching collection.
 #[derive(Debug, Clone, Default)]
 pub struct DtraceSink {
-    cfg: DtraceConfig,
+    cfg: TraceConfig,
+    ops: HashMap<OpId, OpEntry>,
     rings: Vec<FlightRing>,
     fragments: Vec<SpanFragment>,
-    rpc_seq: HashMap<u64, u32>,
-    op_node: HashMap<u64, usize>,
-    flagged: BTreeSet<u64>,
 }
 
 impl DtraceSink {
@@ -312,24 +309,90 @@ impl DtraceSink {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> DtraceConfig {
+    pub fn config(&self) -> TraceConfig {
         self.cfg
     }
 
-    /// Replaces the configuration. Already-collected fragments are kept.
-    pub fn set_config(&mut self, cfg: DtraceConfig) {
+    /// Replaces the configuration. Already-collected traces and fragments
+    /// are kept.
+    pub fn set_config(&mut self, cfg: TraceConfig) {
         self.cfg = cfg;
     }
 
-    /// Whether any op-level bookkeeping (collection or post-mortems) is
-    /// on.
+    /// Whether anything is kept (collection or post-mortems).
     pub fn active(&self) -> bool {
         self.cfg.collect || self.cfg.postmortem
     }
 
-    /// Records one remote-side span on `node`: always into the node's
-    /// flight ring, and into the stitching collection when collecting a
-    /// real trace.
+    /// Whether op event logs and fragments are kept for stitching.
+    pub fn collecting(&self) -> bool {
+        self.cfg.collect
+    }
+
+    /// Registers an op started on `node`. No-op unless the sink is
+    /// active; events of unregistered ops are dropped.
+    pub fn note_op(&mut self, op: OpId, node: usize) {
+        if self.active() {
+            let trace = OpTrace { origin: node, events: Vec::new() };
+            self.ops.insert(op, OpEntry { trace, ..Default::default() });
+        }
+    }
+
+    /// Appends an event to `op`'s log at time `at`. The closure that
+    /// builds the event only runs while collecting a registered op, so
+    /// the disabled path is a single branch with no allocation.
+    #[inline]
+    pub fn record_with<F: FnOnce() -> TraceEventKind>(&mut self, op: OpId, at: SimTime, f: F) {
+        if !self.cfg.collect {
+            return;
+        }
+        if let Some(e) = self.ops.get_mut(&op) {
+            e.trace.events.push(TraceEvent { at, kind: f() });
+        }
+    }
+
+    /// Logs an RPC `op` sent to `peer` and returns the context the request
+    /// carries: its parent is the RPC span [`stitch`] derives for this
+    /// `RpcSent`, because both number the op's sends the same way.
+    /// [`TraceCtx::NONE`] when not collecting or `op` is unregistered.
+    pub fn record_rpc_sent(
+        &mut self,
+        op: OpId,
+        at: SimTime,
+        kind: &'static str,
+        peer: usize,
+    ) -> TraceCtx {
+        if !self.cfg.collect {
+            return TraceCtx::NONE;
+        }
+        let Some(e) = self.ops.get_mut(&op) else { return TraceCtx::NONE };
+        e.trace.events.push(TraceEvent { at, kind: TraceEventKind::RpcSent { kind, peer } });
+        let tid = trace_id(e.trace.origin, op);
+        let seq = e.rpcs_sent;
+        e.rpcs_sent += 1;
+        TraceCtx { trace_id: tid, parent_span: rpc_span(tid, seq) }
+    }
+
+    /// The trace kept for `op` (its event log is empty unless collecting).
+    pub fn trace(&self, op: OpId) -> Option<&OpTrace> {
+        self.ops.get(&op).map(|e| &e.trace)
+    }
+
+    /// Flags `op` for a post-mortem (a mid-fetch re-route was observed).
+    pub fn flag(&mut self, op: OpId) {
+        if let Some(e) = self.ops.get_mut(&op) {
+            e.flagged = true;
+        }
+    }
+
+    /// Whether `op` was flagged.
+    pub fn is_flagged(&self, op: OpId) -> bool {
+        self.ops.get(&op).is_some_and(|e| e.flagged)
+    }
+
+    /// Records one remote-side span on `node`: into the node's flight
+    /// ring, and into the stitching collection when collecting a real
+    /// trace. Callers record only while the sink is [`active`](Self::active).
     #[allow(clippy::too_many_arguments)]
     pub fn record_span(
         &mut self,
@@ -363,7 +426,7 @@ impl DtraceSink {
             end,
             seq,
         };
-        ring.push(self.cfg.ring_cap, frag);
+        ring.push(frag);
         if self.cfg.collect && tid != 0 {
             self.fragments.push(frag);
         }
@@ -372,11 +435,6 @@ impl DtraceSink {
     /// Every fragment collected for stitching, in record order.
     pub fn fragments(&self) -> &[SpanFragment] {
         &self.fragments
-    }
-
-    /// Drops the stitching collection (rings are untouched).
-    pub fn clear_fragments(&mut self) {
-        self.fragments.clear();
     }
 
     /// Gathers the flight-ring entries of one trace across every node.
@@ -390,48 +448,6 @@ impl DtraceSink {
             .filter(|f| f.trace_id == tid)
             .copied()
             .collect()
-    }
-
-    /// Registers an op's origin node (needed to re-derive its trace id
-    /// after the op state is gone). No-op unless the sink is active.
-    pub fn note_op(&mut self, op: OpId, node: usize) {
-        if self.active() {
-            self.op_node.insert(op.0, node);
-        }
-    }
-
-    /// The origin node registered for `op`, if any.
-    pub fn op_node(&self, op: OpId) -> Option<usize> {
-        self.op_node.get(&op.0).copied()
-    }
-
-    /// Takes the next per-op RPC send index (numbers `RpcSent` events the
-    /// same way the stitcher counts them).
-    pub fn next_rpc_seq(&mut self, op: OpId) -> u32 {
-        let e = self.rpc_seq.entry(op.0).or_insert(0);
-        let s = *e;
-        *e += 1;
-        s
-    }
-
-    /// Flags `op` for a post-mortem (e.g. a mid-fetch re-route was
-    /// observed). No-op unless the sink is active.
-    pub fn flag(&mut self, op: OpId) {
-        if self.active() {
-            self.flagged.insert(op.0);
-        }
-    }
-
-    /// Whether `op` was flagged.
-    pub fn is_flagged(&self, op: OpId) -> bool {
-        self.flagged.contains(&op.0)
-    }
-
-    /// Releases the per-op counters once the op has finished (its origin
-    /// registration is kept so late stitching still works).
-    pub fn finish_op(&mut self, op: OpId) {
-        self.rpc_seq.remove(&op.0);
-        self.flagged.remove(&op.0);
     }
 }
 
@@ -447,33 +463,25 @@ struct ArenaNode {
     children: Vec<usize>,
 }
 
-/// Joins a requester-side trace with the remote fragments of the same
-/// trace id into one distributed [`SpanTree`]. Returns `None` for an
-/// empty trace.
+/// Joins an op's trace with the remote fragments of the same trace id
+/// into one distributed [`SpanTree`]. Returns `None` for an empty trace.
 ///
-/// The requester skeleton mirrors
-/// [`SpanTree::from_trace`](super::span::SpanTree::from_trace) exactly
-/// (same pairing and clamping rules), but additionally assigns every
-/// skeleton span its deterministic id so fragments can find their
-/// parents. Fragments are sorted by `(start, end, node, seq, span_id)`
-/// before attachment and children are re-sorted at materialization, so
-/// the output is independent of the order fragments arrive in.
-pub fn stitch(
-    node: usize,
-    op: OpId,
-    trace: &OpTrace,
-    fragments: &[SpanFragment],
-) -> Option<SpanTree> {
-    let tid = trace_id(node, op);
+/// The requester skeleton: the op span covers the `OpFrame` interval,
+/// each phase window becomes a phase span, and within a phase `RpcSent`
+/// pairs with the first later unclaimed `RpcOk`/`RpcFailed` for the same
+/// peer in that phase, `DialStarted` with the first later unclaimed
+/// `DialCompleted`/`DialFailed` for the same peer anywhere after it;
+/// unmatched starts close at the phase end. Every skeleton span gets its
+/// deterministic id so fragments can find their parents. Fragments are
+/// sorted by `(start, end, node, seq, span_id)` before attachment and
+/// children are sorted by `(start, end, label)` and clamped into their
+/// parent at materialization, so the output is independent of the order
+/// fragments arrive in.
+pub fn stitch(op: OpId, trace: &OpTrace, fragments: &[SpanFragment]) -> Option<SpanTree> {
+    let tid = trace_id(trace.origin, op);
     let events = &trace.events;
-    let first = events.first()?;
-    let start = first.at;
-    let end = events
-        .iter()
-        .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-        .map(|e| e.at)
-        .unwrap_or_else(|| events.last().map(|e| e.at).unwrap_or(start));
-    let end = end.max(start);
+    let frame = OpFrame::of(trace)?;
+    let (start, end) = (frame.start, frame.end);
     let op_label = events
         .iter()
         .find_map(|e| match e.kind {
@@ -514,96 +522,55 @@ pub fn stitch(
         end,
     );
 
-    // Requester skeleton: phases tile the op; RPC and dial spans pair the
-    // same way `SpanTree::from_trace` pairs them, while a global counter
-    // assigns each `RpcSent` the send index the network numbered it with.
-    let bounds: Vec<(usize, SimTime, &'static str)> = events
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| match e.kind {
-            TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-            _ => None,
-        })
-        .collect();
+    // Requester skeleton. A global counter assigns each `RpcSent` the
+    // send index the sink numbered it with.
     let mut rpc_seq: u32 = 0;
-    let mut dial_seq: u32 = 0;
-    for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-        let (next_idx, phase_end) = match bounds.get(pi + 1) {
-            Some(&(ni, na, _)) => (ni, na),
-            None => (events.len(), end),
-        };
-        let phase_end = phase_end.max(at);
+    let mut dial_seq: u64 = 0;
+    for phase in &frame.phases {
         let pnode = push(
             &mut nodes,
             &mut parent_of,
             &mut index,
-            phase_span(tid, phase),
+            phase_span(tid, phase.label),
             Some(root),
-            phase.to_string(),
-            at,
-            phase_end,
+            phase.label.to_string(),
+            phase.start,
+            phase.end,
         );
         let mut claimed = vec![false; events.len()];
-        for i in idx..next_idx {
-            match events[i].kind {
-                TraceEventKind::RpcSent { kind, peer } => {
-                    let matched = (i + 1..next_idx).find(|&j| {
-                        !claimed[j]
-                            && matches!(
-                                events[j].kind,
-                                TraceEventKind::RpcOk { peer: p }
-                                | TraceEventKind::RpcFailed { peer: p } if p == peer
-                            )
-                    });
-                    let child_end = match matched {
-                        Some(j) => {
-                            claimed[j] = true;
-                            events[j].at
-                        }
-                        None => phase_end,
-                    };
-                    push(
-                        &mut nodes,
-                        &mut parent_of,
-                        &mut index,
-                        rpc_span(tid, rpc_seq),
-                        Some(pnode),
-                        format!("rpc:{kind}"),
-                        events[i].at,
-                        child_end,
-                    );
+        for i in phase.events.clone() {
+            let (id, label, scan_end) = match events[i].kind {
+                TraceEventKind::RpcSent { kind, .. } => {
+                    let id = rpc_span(tid, rpc_seq);
                     rpc_seq += 1;
+                    (id, format!("rpc:{kind}"), phase.events.end)
                 }
-                TraceEventKind::DialStarted { peer } => {
-                    let matched = (i + 1..events.len()).find(|&j| {
-                        !claimed[j]
-                            && matches!(
-                                events[j].kind,
-                                TraceEventKind::DialCompleted { peer: p }
-                                | TraceEventKind::DialFailed { peer: p, .. } if p == peer
-                            )
-                    });
-                    let child_end = match matched {
-                        Some(j) => {
-                            claimed[j] = true;
-                            events[j].at
-                        }
-                        None => phase_end,
-                    };
-                    push(
-                        &mut nodes,
-                        &mut parent_of,
-                        &mut index,
-                        span_id(tid, domain::DIAL, dial_seq as u64),
-                        Some(pnode),
-                        "dial".to_string(),
-                        events[i].at,
-                        child_end,
-                    );
+                TraceEventKind::DialStarted { .. } => {
+                    let id = span_id(tid, domain::DIAL, dial_seq);
                     dial_seq += 1;
+                    (id, "dial".to_string(), events.len())
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            let matched = (i + 1..scan_end)
+                .find(|&j| !claimed[j] && closes(&events[i].kind, &events[j].kind));
+            let child_end = match matched {
+                Some(j) => {
+                    claimed[j] = true;
+                    events[j].at
+                }
+                None => phase.end,
+            };
+            push(
+                &mut nodes,
+                &mut parent_of,
+                &mut index,
+                id,
+                Some(pnode),
+                label,
+                events[i].at,
+                child_end,
+            );
         }
     }
 
@@ -638,6 +605,22 @@ pub fn stitch(
     }
 
     Some(SpanTree { root: materialize(&nodes, root, start, end) })
+}
+
+/// Whether `event` closes the RPC or dial span `open` started: a reply
+/// or failure from the same peer.
+fn closes(open: &TraceEventKind, event: &TraceEventKind) -> bool {
+    match (open, event) {
+        (
+            TraceEventKind::RpcSent { peer, .. },
+            TraceEventKind::RpcOk { peer: p } | TraceEventKind::RpcFailed { peer: p },
+        )
+        | (
+            TraceEventKind::DialStarted { peer },
+            TraceEventKind::DialCompleted { peer: p } | TraceEventKind::DialFailed { peer: p, .. },
+        ) => p == peer,
+        _ => false,
+    }
 }
 
 /// Picks the arena node carrying span id `id` best matching time `at`:
@@ -823,38 +806,14 @@ pub fn render_postmortem(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::TraceEvent;
+    use crate::obs::span::tests::at;
     use proptest::prelude::*;
 
-    fn at(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    fn ev(ms: u64, kind: TraceEventKind) -> TraceEvent {
-        TraceEvent { at: at(ms), kind }
-    }
-
-    /// The §3.2 retrieval trace from the span-tree tests: probe 1 s,
-    /// provider walk 400 ms (2 RPCs), peer walk 300 ms, fetch 500 ms.
-    fn retrieval_trace() -> OpTrace {
-        OpTrace {
-            events: vec![
-                ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
-                ev(0, TraceEventKind::PhaseEntered { phase: "bitswap_probe" }),
-                ev(1000, TraceEventKind::PhaseEntered { phase: "provider_walk" }),
-                ev(1000, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 4 }),
-                ev(1150, TraceEventKind::RpcOk { peer: 4 }),
-                ev(1150, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 9 }),
-                ev(1400, TraceEventKind::RpcOk { peer: 9 }),
-                ev(1400, TraceEventKind::PhaseEntered { phase: "peer_walk" }),
-                ev(1450, TraceEventKind::RpcSent { kind: "FIND_NODE", peer: 2 }),
-                ev(1700, TraceEventKind::RpcFailed { peer: 2 }),
-                ev(1700, TraceEventKind::PhaseEntered { phase: "fetch" }),
-                ev(1700, TraceEventKind::DialStarted { peer: 7 }),
-                ev(1820, TraceEventKind::DialCompleted { peer: 7 }),
-                ev(2200, TraceEventKind::OpFinished { success: true }),
-            ],
-        }
+    /// The §3.2 retrieval trace from the span-tree tests (probe 1 s,
+    /// provider walk 400 ms with 2 RPCs, peer walk 300 ms, fetch 500 ms),
+    /// run on `origin`.
+    fn retrieval_trace(origin: usize) -> OpTrace {
+        OpTrace { origin, ..crate::obs::span::tests::retrieval_trace() }
     }
 
     /// Fragments a remote-side recording of the same op would produce:
@@ -922,55 +881,64 @@ mod tests {
             end: SimTime::ZERO,
             seq: i,
         };
-        for i in 0..10 {
+        for i in 0..RING_CAP as u32 + 6 {
             let s = ring.take_seq();
             assert_eq!(s, i);
-            ring.push(4, frag(i));
+            ring.push(frag(i));
         }
-        assert_eq!(ring.len(), 4);
+        assert_eq!(ring.len(), RING_CAP);
         let kept: Vec<u64> = {
             let mut v: Vec<u64> = ring.iter().map(|f| f.a).collect();
             v.sort_unstable();
             v
         };
-        assert_eq!(kept, vec![6, 7, 8, 9], "oldest entries overwritten");
-        // Zero capacity records nothing.
-        let mut off = FlightRing::default();
-        off.push(0, frag(0));
-        assert!(off.is_empty());
+        assert_eq!(
+            kept,
+            (6..RING_CAP as u64 + 6).collect::<Vec<_>>(),
+            "oldest entries overwritten"
+        );
     }
 
     #[test]
     fn sink_routes_fragments_by_config() {
         let mut sink = DtraceSink::new(2);
-        // Default config: ring only.
+        // Off: nothing registers, the ring still takes what callers record
+        // (every call site records only while the sink is active).
+        sink.note_op(OpId(1), 7);
+        assert!(sink.trace(OpId(1)).is_none());
         sink.record_span(5, 9, 0, Some(1), "srv", "FIND_NODE", 3, 0, at(0), at(1));
         assert!(sink.fragments().is_empty());
         assert_eq!(sink.ring_entries_for(5).len(), 1);
+        // Post-mortems only: ops register (origin, flag) but keep no events
+        // and RPCs carry no context.
+        sink.set_config(TraceConfig::postmortems());
+        sink.note_op(OpId(1), 7);
+        sink.record_with(OpId(1), at(0), || TraceEventKind::BlockReceived);
+        assert_eq!(sink.record_rpc_sent(OpId(1), at(0), "FIND_NODE", 3), TraceCtx::NONE);
+        assert_eq!(sink.trace(OpId(1)).map(|t| (t.origin, t.events.len())), Some((7, 0)));
+        sink.flag(OpId(1));
+        assert!(sink.is_flagged(OpId(1)));
         // Collecting: fragments retained; untraced (tid 0) ones are not.
-        sink.set_config(DtraceConfig::collecting());
+        sink.set_config(TraceConfig::collecting());
         sink.record_span(5, 9, 1, None, "srv", "FIND_NODE", 3, 0, at(1), at(2));
         sink.record_span(0, 0, 1, None, "srv", "FIND_NODE", 3, 0, at(2), at(3));
         assert_eq!(sink.fragments().len(), 1);
         assert_eq!(sink.ring_entries_for(5).len(), 2);
-        // Per-op bookkeeping requires an active config.
-        sink.note_op(OpId(1), 7);
-        assert_eq!(sink.op_node(OpId(1)), Some(7));
-        sink.flag(OpId(1));
-        assert!(sink.is_flagged(OpId(1)));
-        sink.finish_op(OpId(1));
-        assert!(!sink.is_flagged(OpId(1)));
-        assert_eq!(sink.op_node(OpId(1)), Some(7), "origin survives finish for late stitching");
-        assert_eq!(sink.next_rpc_seq(OpId(2)), 0);
-        assert_eq!(sink.next_rpc_seq(OpId(2)), 1);
+        // RPC contexts number the op's sends in log order.
+        sink.note_op(OpId(2), 4);
+        let tid = trace_id(4, OpId(2));
+        for seq in 0..2 {
+            let ctx = sink.record_rpc_sent(OpId(2), at(seq), "FIND_NODE", 3);
+            assert_eq!(ctx, TraceCtx { trace_id: tid, parent_span: rpc_span(tid, seq as u32) });
+        }
+        assert_eq!(sink.trace(OpId(2)).unwrap().events.len(), 2);
     }
 
     #[test]
     fn stitch_attaches_remote_spans_under_their_causes() {
-        let trace = retrieval_trace();
         let tid = trace_id(3, OpId(11));
         let frags = remote_fragments(tid);
-        let tree = stitch(3, OpId(11), &trace, &frags).unwrap();
+        let tree = stitch(OpId(11), &retrieval_trace(3), &frags).unwrap();
         let labels = labels_of(&tree.root);
         assert!(labels.contains(&"srv:GET_PROVIDERS@n4".to_string()), "{labels:?}");
         assert!(labels.contains(&"srv:GET_PROVIDERS@n9".to_string()), "{labels:?}");
@@ -996,16 +964,8 @@ mod tests {
     }
 
     #[test]
-    fn stitch_without_fragments_matches_local_tree_shape() {
-        let trace = retrieval_trace();
-        let local = crate::obs::span::SpanTree::from_trace(&trace).unwrap();
-        let stitched = stitch(0, OpId(0), &trace, &[]).unwrap();
-        assert_eq!(local, stitched, "no fragments → identical to the local tree");
-    }
-
-    #[test]
     fn orphan_fragments_fall_back_to_the_root() {
-        let trace = retrieval_trace();
+        let trace = retrieval_trace(1);
         let tid = trace_id(1, OpId(2));
         let orphan = SpanFragment {
             trace_id: tid,
@@ -1021,19 +981,18 @@ mod tests {
             end: at(200),
             seq: 0,
         };
-        let tree = stitch(1, OpId(2), &trace, &[orphan]).unwrap();
+        let tree = stitch(OpId(2), &trace, &[orphan]).unwrap();
         assert!(tree.root.children.iter().any(|c| c.label == "gw:serve@n5"));
         // Fragments of other traces are ignored entirely.
         let foreign = SpanFragment { trace_id: tid ^ 2, ..orphan };
-        let tree2 = stitch(1, OpId(2), &trace, &[foreign]).unwrap();
+        let tree2 = stitch(OpId(2), &trace, &[foreign]).unwrap();
         assert!(!labels_of(&tree2.root).iter().any(|l| l.contains("gw")));
     }
 
     #[test]
     fn exemplar_json_is_well_formed() {
-        let trace = retrieval_trace();
         let tid = trace_id(3, OpId(11));
-        let tree = stitch(3, OpId(11), &trace, &remote_fragments(tid)).unwrap();
+        let tree = stitch(OpId(11), &retrieval_trace(3), &remote_fragments(tid)).unwrap();
         let json = exemplar_json("smoke/EU", OpId(11), &tree);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cell\":\"smoke/EU\""));
@@ -1094,7 +1053,7 @@ mod tests {
             // vendored proptest shim has no shuffle strategy).
             let mut perm: Vec<usize> = (0..16).collect();
             perm.sort_by_key(|&i| (shuffle_keys[i], i));
-            let trace = retrieval_trace();
+            let trace = retrieval_trace(3);
             let tid = trace_id(3, OpId(11));
             let mut frags = remote_fragments(tid);
             // Extra fragments parented to arbitrary known spans.
@@ -1119,7 +1078,7 @@ mod tests {
                     seq: 100 + i as u32,
                 });
             }
-            let canonical = stitch(3, OpId(11), &trace, &frags).unwrap();
+            let canonical = stitch(OpId(11), &trace, &frags).unwrap();
             let shuffled: Vec<SpanFragment> =
                 perm.iter().filter(|&&i| i < frags.len()).map(|&i| frags[i]).collect();
             // The permutation covers indices 0..16; restrict to the real
@@ -1128,7 +1087,7 @@ mod tests {
             let mut shuffled = shuffled;
             shuffled.append(&mut rest);
             prop_assert_eq!(shuffled.len(), frags.len());
-            let stitched = stitch(3, OpId(11), &trace, &shuffled).unwrap();
+            let stitched = stitch(OpId(11), &trace, &shuffled).unwrap();
             prop_assert_eq!(&canonical, &stitched);
             prop_assert_eq!(span_tree_json(&canonical), span_tree_json(&stitched));
             // Structural invariants hold for arbitrary fragment sets.

@@ -1,12 +1,12 @@
 //! Span trees, critical-path analysis, and latency attribution.
 //!
 //! A raw [`OpTrace`] is a flat list of timestamped events; this module
-//! folds it into the causal structure the paper's §6.2 decomposition
-//! needs:
+//! holds the causal structure the paper's §6.2 decomposition needs:
 //!
-//! * [`SpanTree`] — op → phase → per-RPC / per-dial spans, rebuilt from
-//!   the event stream (phases tile the op interval; RPC and dial spans
-//!   nest inside the phase that issued them).
+//! * [`SpanTree`] — op → phase → per-RPC / per-dial spans (phases tile
+//!   the op interval; RPC and dial spans nest inside the phase that
+//!   issued them; remote fragments nest under their causes). The one
+//!   builder is [`stitch`](super::dtrace::stitch).
 //! * [`SpanTree::critical_path`] — the backward-greedy chain of leaf
 //!   spans that bounds the op's latency from below: starting at the op's
 //!   end, repeatedly step to the child span that finished last and
@@ -16,12 +16,14 @@
 //!   (plus `other`), computed so the components **exactly** sum to the
 //!   op duration in integer-nanosecond arithmetic.
 //!
-//! All of this is pure analysis over a collected trace: nothing here
-//! touches the simulator, so it can run after the fact on drained traces
-//! (see [`super::Tracer::drain_sorted`]).
+//! The op interval and the phase windows come from one place,
+//! `OpFrame`, so the tree and the breakdown can never disagree on where
+//! a phase begins or ends. All of this is pure analysis over a collected
+//! trace: nothing here touches the simulator.
 
 use super::{OpTrace, TraceEventKind};
 use simnet::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// One node of a span tree: a labelled `[start, end]` interval with
 /// child spans nested inside it.
@@ -72,113 +74,6 @@ pub struct SpanTree {
 }
 
 impl SpanTree {
-    /// Folds a trace into a span tree. Returns `None` for an empty trace.
-    ///
-    /// The op span runs from the first event to `OpFinished` (or the last
-    /// event if the op never finished). Each `PhaseEntered` opens a phase
-    /// span that closes when the next phase opens or the op ends, so the
-    /// phases tile the op interval after the first phase. Within a phase,
-    /// `RpcSent` pairs with the first later `RpcOk`/`RpcFailed` for the
-    /// same peer, and `DialStarted` pairs with the first later
-    /// `DialCompleted`/`DialFailed` for the same peer; unmatched starts
-    /// close at the phase end. Child spans are clamped into their parent.
-    pub fn from_trace(trace: &OpTrace) -> Option<SpanTree> {
-        let events = &trace.events;
-        let first = events.first()?;
-        let start = first.at;
-        let end = events
-            .iter()
-            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-            .map(|e| e.at)
-            .unwrap_or_else(|| events.last().map(|e| e.at).unwrap_or(start));
-        let label = events
-            .iter()
-            .find_map(|e| match e.kind {
-                TraceEventKind::OpStarted { kind } => Some(kind),
-                _ => None,
-            })
-            .unwrap_or("op");
-
-        // Phase boundaries: (event index, start time, label).
-        let bounds: Vec<(usize, SimTime, &'static str)> = events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-                _ => None,
-            })
-            .collect();
-
-        let mut phases = Vec::with_capacity(bounds.len());
-        for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-            let (next_idx, phase_end) = match bounds.get(pi + 1) {
-                Some(&(ni, na, _)) => (ni, na),
-                None => (events.len(), end),
-            };
-            let phase_end = phase_end.max(at);
-            let mut children = Vec::new();
-            let mut claimed = vec![false; events.len()];
-            for i in idx..next_idx {
-                match events[i].kind {
-                    TraceEventKind::RpcSent { kind, peer } => {
-                        let matched = (i + 1..next_idx).find(|&j| {
-                            !claimed[j]
-                                && matches!(
-                                    events[j].kind,
-                                    TraceEventKind::RpcOk { peer: p }
-                                    | TraceEventKind::RpcFailed { peer: p } if p == peer
-                                )
-                        });
-                        let child_end = match matched {
-                            Some(j) => {
-                                claimed[j] = true;
-                                events[j].at
-                            }
-                            None => phase_end,
-                        };
-                        children.push(clamped_span(
-                            format!("rpc:{kind}"),
-                            events[i].at,
-                            child_end,
-                            at,
-                            phase_end,
-                        ));
-                    }
-                    TraceEventKind::DialStarted { peer } => {
-                        let matched = (i + 1..events.len()).find(|&j| {
-                            !claimed[j]
-                                && matches!(
-                                    events[j].kind,
-                                    TraceEventKind::DialCompleted { peer: p }
-                                    | TraceEventKind::DialFailed { peer: p, .. } if p == peer
-                                )
-                        });
-                        let child_end = match matched {
-                            Some(j) => {
-                                claimed[j] = true;
-                                events[j].at
-                            }
-                            None => phase_end,
-                        };
-                        children.push(clamped_span(
-                            "dial".to_string(),
-                            events[i].at,
-                            child_end,
-                            at,
-                            phase_end,
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-            phases.push(Span { label: phase.to_string(), start: at, end: phase_end, children });
-        }
-
-        Some(SpanTree {
-            root: Span { label: label.to_string(), start, end: end.max(start), children: phases },
-        })
-    }
-
     /// The op duration (root span duration).
     pub fn duration(&self) -> SimDuration {
         self.root.duration()
@@ -199,19 +94,6 @@ impl SpanTree {
     pub fn critical_path_duration(&self) -> SimDuration {
         self.critical_path().iter().fold(SimDuration::ZERO, |acc, h| acc + h.duration())
     }
-}
-
-/// Builds a child span clamped into `[parent_start, parent_end]`.
-fn clamped_span(
-    label: String,
-    start: SimTime,
-    end: SimTime,
-    parent_start: SimTime,
-    parent_end: SimTime,
-) -> Span {
-    let s = start.max(parent_start).min(parent_end);
-    let e = end.clamp(s, parent_end);
-    Span { label, start: s, end: e, children: Vec::new() }
 }
 
 /// Backward-greedy critical-path cover of `span` up to `limit`, appending
@@ -246,6 +128,66 @@ fn cover(span: &Span, limit: SimTime, out: &mut Vec<CriticalHop>) {
     }
 }
 
+/// The time frame of one traced op: its interval and the window of each
+/// pipeline phase.
+pub(crate) struct OpFrame {
+    /// The first event.
+    pub start: SimTime,
+    /// `OpFinished`, or the last event if the op never finished; never
+    /// before `start`.
+    pub end: SimTime,
+    /// Phases in entry order. Each runs until the next one is entered
+    /// (the last until `end`), so together they tile the op interval
+    /// from the first phase on.
+    pub phases: Vec<PhaseWindow>,
+}
+
+/// One pipeline phase of an [`OpFrame`].
+pub(crate) struct PhaseWindow {
+    /// Phase label ("bitswap_probe", "walk", ...).
+    pub label: &'static str,
+    /// When the phase was entered.
+    pub start: SimTime,
+    /// When the next phase was entered or the op ended; never before
+    /// `start`.
+    pub end: SimTime,
+    /// The phase's events: from its `PhaseEntered` up to the next
+    /// phase's.
+    pub events: Range<usize>,
+}
+
+impl OpFrame {
+    /// The frame of `trace`; `None` for an empty trace.
+    pub(crate) fn of(trace: &OpTrace) -> Option<OpFrame> {
+        let events = &trace.events;
+        let start = events.first()?.at;
+        let end = events
+            .iter()
+            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
+            .or(events.last())
+            .map_or(start, |e| e.at)
+            .max(start);
+        let entered: Vec<(usize, SimTime, &'static str)> = events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.kind {
+                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
+                _ => None,
+            })
+            .collect();
+        let phases = entered
+            .iter()
+            .enumerate()
+            .map(|(pi, &(idx, at, label))| {
+                let (next_idx, phase_end) =
+                    entered.get(pi + 1).map_or((events.len(), end), |&(ni, na, _)| (ni, na));
+                PhaseWindow { label, start: at, end: phase_end.max(at), events: idx..next_idx }
+            })
+            .collect();
+        Some(OpFrame { start, end, phases })
+    }
+}
+
 /// The §6.2 latency decomposition of one operation. All components are
 /// disjoint slices of the op interval, so they sum to the op duration
 /// exactly (integer nanoseconds).
@@ -272,37 +214,15 @@ impl LatencyBreakdown {
     /// Computes the breakdown of a trace. Empty traces yield all zeros.
     pub fn from_trace(trace: &OpTrace) -> LatencyBreakdown {
         let mut bd = LatencyBreakdown::default();
-        let Some(first) = trace.events.first() else { return bd };
-        let t0 = first.at;
-        let end = trace
-            .events
-            .iter()
-            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
-            .map(|e| e.at)
-            .unwrap_or_else(|| trace.events.last().map(|e| e.at).unwrap_or(t0));
-
-        let bounds: Vec<(usize, SimTime, &'static str)> = trace
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
-                _ => None,
-            })
-            .collect();
-        if bounds.is_empty() {
-            bd.other = end.since(t0);
+        let Some(frame) = OpFrame::of(trace) else { return bd };
+        let Some(first) = frame.phases.first() else {
+            bd.other = frame.end.since(frame.start);
             return bd;
-        }
-        bd.other += bounds[0].1.since(t0);
-        for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
-            let (next_idx, seg_end) = match bounds.get(pi + 1) {
-                Some(&(ni, na, _)) => (ni, na),
-                None => (trace.events.len(), end),
-            };
-            let seg_end = seg_end.max(at);
-            let seg = seg_end.since(at);
-            match phase {
+        };
+        bd.other += first.start.since(frame.start);
+        for phase in &frame.phases {
+            let seg = phase.end.since(phase.start);
+            match phase.label {
                 "bitswap_probe" => bd.bitswap_probe += seg,
                 "provider_walk" | "walk" => bd.provider_walk += seg,
                 "peer_walk" => bd.peer_walk += seg,
@@ -310,17 +230,17 @@ impl LatencyBreakdown {
                     // Split the fetch phase at the instant the provider
                     // connection came up; a failed dial burns the whole
                     // segment dialing.
-                    let window = &trace.events[idx..next_idx];
+                    let window = &trace.events[phase.events.clone()];
                     let connected = window
                         .iter()
                         .find(|e| matches!(e.kind, TraceEventKind::DialCompleted { .. }))
-                        .map(|e| e.at.clamp(at, seg_end));
+                        .map(|e| e.at.clamp(phase.start, phase.end));
                     let failed =
                         window.iter().any(|e| matches!(e.kind, TraceEventKind::DialFailed { .. }));
                     match connected {
                         Some(tc) => {
-                            bd.dial += tc.since(at);
-                            bd.fetch += seg_end.since(tc);
+                            bd.dial += tc.since(phase.start);
+                            bd.fetch += phase.end.since(tc);
                         }
                         None if failed => bd.dial += seg,
                         None => bd.fetch += seg,
@@ -385,46 +305,153 @@ impl LatencyBreakdown {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::obs::dtrace::stitch;
     use crate::obs::TraceEvent;
+    use crate::ops::OpId;
     use proptest::prelude::*;
 
-    fn at(ms: u64) -> SimTime {
+    pub(crate) fn at(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn ev(ms: u64, kind: TraceEventKind) -> TraceEvent {
+    pub(crate) fn ev(ms: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent { at: at(ms), kind }
+    }
+
+    fn trace_of(events: Vec<TraceEvent>) -> OpTrace {
+        OpTrace { origin: 0, events }
+    }
+
+    /// The library's one tree builder, without remote fragments.
+    fn tree_of(trace: &OpTrace) -> Option<SpanTree> {
+        stitch(OpId(0), trace, &[])
     }
 
     /// A hand-built §3.2 retrieval trace:
     /// probe 1000 ms → provider walk 400 ms (2 RPCs) → peer walk 300 ms →
     /// fetch phase 500 ms split as dial 120 ms + transfer 380 ms.
-    fn retrieval_trace() -> OpTrace {
-        OpTrace {
-            events: vec![
-                ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
-                ev(0, TraceEventKind::PhaseEntered { phase: "bitswap_probe" }),
-                ev(1000, TraceEventKind::PhaseEntered { phase: "provider_walk" }),
-                ev(1000, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 4 }),
-                ev(1150, TraceEventKind::RpcOk { peer: 4 }),
-                ev(1150, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 9 }),
-                ev(1400, TraceEventKind::RpcOk { peer: 9 }),
-                ev(1400, TraceEventKind::PhaseEntered { phase: "peer_walk" }),
-                ev(1450, TraceEventKind::RpcSent { kind: "FIND_NODE", peer: 2 }),
-                ev(1700, TraceEventKind::RpcFailed { peer: 2 }),
-                ev(1700, TraceEventKind::PhaseEntered { phase: "fetch" }),
-                ev(1700, TraceEventKind::DialStarted { peer: 7 }),
-                ev(1820, TraceEventKind::DialCompleted { peer: 7 }),
-                ev(2200, TraceEventKind::OpFinished { success: true }),
-            ],
+    pub(crate) fn retrieval_trace() -> OpTrace {
+        trace_of(vec![
+            ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
+            ev(0, TraceEventKind::PhaseEntered { phase: "bitswap_probe" }),
+            ev(1000, TraceEventKind::PhaseEntered { phase: "provider_walk" }),
+            ev(1000, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 4 }),
+            ev(1150, TraceEventKind::RpcOk { peer: 4 }),
+            ev(1150, TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer: 9 }),
+            ev(1400, TraceEventKind::RpcOk { peer: 9 }),
+            ev(1400, TraceEventKind::PhaseEntered { phase: "peer_walk" }),
+            ev(1450, TraceEventKind::RpcSent { kind: "FIND_NODE", peer: 2 }),
+            ev(1700, TraceEventKind::RpcFailed { peer: 2 }),
+            ev(1700, TraceEventKind::PhaseEntered { phase: "fetch" }),
+            ev(1700, TraceEventKind::DialStarted { peer: 7 }),
+            ev(1820, TraceEventKind::DialCompleted { peer: 7 }),
+            ev(2200, TraceEventKind::OpFinished { success: true }),
+        ])
+    }
+
+    /// Reference tree builder: an independent, direct reading of the
+    /// span rules, kept to check [`stitch`] against.
+    ///
+    /// The op span runs from the first event to `OpFinished` (or the last
+    /// event if the op never finished). Each `PhaseEntered` opens a phase
+    /// span that closes when the next phase opens or the op ends. Within a
+    /// phase, `RpcSent` pairs with the first later unclaimed
+    /// `RpcOk`/`RpcFailed` for the same peer in that phase, and
+    /// `DialStarted` with the first later unclaimed `DialCompleted`/
+    /// `DialFailed` for the same peer anywhere after it; unmatched starts
+    /// close at the phase end. Children keep event order and are clamped
+    /// into their phase.
+    fn reference_tree(trace: &OpTrace) -> Option<SpanTree> {
+        let events = &trace.events;
+        let start = events.first()?.at;
+        let end = events
+            .iter()
+            .find(|e| matches!(e.kind, TraceEventKind::OpFinished { .. }))
+            .map(|e| e.at)
+            .unwrap_or_else(|| events.last().map(|e| e.at).unwrap_or(start));
+        let label = events
+            .iter()
+            .find_map(|e| match e.kind {
+                TraceEventKind::OpStarted { kind } => Some(kind),
+                _ => None,
+            })
+            .unwrap_or("op");
+        let bounds: Vec<(usize, SimTime, &'static str)> = events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.kind {
+                TraceEventKind::PhaseEntered { phase } => Some((i, e.at, phase)),
+                _ => None,
+            })
+            .collect();
+        let clamped = |label: String, s: SimTime, e: SimTime, ps: SimTime, pe: SimTime| {
+            let s = s.max(ps).min(pe);
+            Span { label, start: s, end: e.clamp(s, pe), children: Vec::new() }
+        };
+        let mut phases = Vec::new();
+        for (pi, &(idx, at, phase)) in bounds.iter().enumerate() {
+            let (next_idx, phase_end) = match bounds.get(pi + 1) {
+                Some(&(ni, na, _)) => (ni, na),
+                None => (events.len(), end),
+            };
+            let phase_end = phase_end.max(at);
+            let mut children = Vec::new();
+            let mut claimed = vec![false; events.len()];
+            for i in idx..next_idx {
+                match events[i].kind {
+                    TraceEventKind::RpcSent { kind, peer } => {
+                        let matched = (i + 1..next_idx).find(|&j| {
+                            !claimed[j]
+                                && matches!(
+                                    events[j].kind,
+                                    TraceEventKind::RpcOk { peer: p }
+                                    | TraceEventKind::RpcFailed { peer: p } if p == peer
+                                )
+                        });
+                        let child_end = match matched {
+                            Some(j) => {
+                                claimed[j] = true;
+                                events[j].at
+                            }
+                            None => phase_end,
+                        };
+                        let label = format!("rpc:{kind}");
+                        children.push(clamped(label, events[i].at, child_end, at, phase_end));
+                    }
+                    TraceEventKind::DialStarted { peer } => {
+                        let matched = (i + 1..events.len()).find(|&j| {
+                            !claimed[j]
+                                && matches!(
+                                    events[j].kind,
+                                    TraceEventKind::DialCompleted { peer: p }
+                                    | TraceEventKind::DialFailed { peer: p, .. } if p == peer
+                                )
+                        });
+                        let child_end = match matched {
+                            Some(j) => {
+                                claimed[j] = true;
+                                events[j].at
+                            }
+                            None => phase_end,
+                        };
+                        let label = "dial".to_string();
+                        children.push(clamped(label, events[i].at, child_end, at, phase_end));
+                    }
+                    _ => {}
+                }
+            }
+            phases.push(Span { label: phase.to_string(), start: at, end: phase_end, children });
         }
+        Some(SpanTree {
+            root: Span { label: label.to_string(), start, end: end.max(start), children: phases },
+        })
     }
 
     #[test]
     fn span_tree_reconstructs_the_pipeline() {
-        let tree = SpanTree::from_trace(&retrieval_trace()).unwrap();
+        let tree = tree_of(&retrieval_trace()).unwrap();
         assert_eq!(tree.root.label, "retrieve");
         assert_eq!(tree.duration(), SimDuration::from_millis(2200));
         let labels: Vec<&str> = tree.root.children.iter().map(|c| c.label.as_str()).collect();
@@ -459,15 +486,13 @@ mod tests {
 
     #[test]
     fn failed_dial_attributes_the_fetch_phase_to_dial() {
-        let trace = OpTrace {
-            events: vec![
-                ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
-                ev(0, TraceEventKind::PhaseEntered { phase: "fetch" }),
-                ev(0, TraceEventKind::DialStarted { peer: 3 }),
-                ev(0, TraceEventKind::DialFailed { peer: 3, class: crate::DialClass::Timeout5s }),
-                ev(5000, TraceEventKind::OpFinished { success: false }),
-            ],
-        };
+        let trace = trace_of(vec![
+            ev(0, TraceEventKind::OpStarted { kind: "retrieve" }),
+            ev(0, TraceEventKind::PhaseEntered { phase: "fetch" }),
+            ev(0, TraceEventKind::DialStarted { peer: 3 }),
+            ev(0, TraceEventKind::DialFailed { peer: 3, class: crate::DialClass::Timeout5s }),
+            ev(5000, TraceEventKind::OpFinished { success: false }),
+        ]);
         let bd = LatencyBreakdown::from_trace(&trace);
         assert_eq!(bd.dial, SimDuration::from_secs(5));
         assert_eq!(bd.fetch, SimDuration::ZERO);
@@ -476,25 +501,23 @@ mod tests {
 
     #[test]
     fn empty_and_phaseless_traces_are_safe() {
-        assert!(SpanTree::from_trace(&OpTrace::default()).is_none());
+        assert!(tree_of(&OpTrace::default()).is_none());
         assert_eq!(LatencyBreakdown::from_trace(&OpTrace::default()), LatencyBreakdown::default());
-        let trace = OpTrace {
-            events: vec![
-                ev(5, TraceEventKind::OpStarted { kind: "retrieve" }),
-                ev(42, TraceEventKind::OpFinished { success: false }),
-            ],
-        };
+        let trace = trace_of(vec![
+            ev(5, TraceEventKind::OpStarted { kind: "retrieve" }),
+            ev(42, TraceEventKind::OpFinished { success: false }),
+        ]);
         let bd = LatencyBreakdown::from_trace(&trace);
         assert_eq!(bd.other, SimDuration::from_millis(37));
         assert_eq!(bd.total(), SimDuration::from_millis(37));
-        let tree = SpanTree::from_trace(&trace).unwrap();
+        let tree = tree_of(&trace).unwrap();
         assert_eq!(tree.duration(), SimDuration::from_millis(37));
         assert_eq!(tree.critical_path_duration(), tree.duration());
     }
 
     #[test]
     fn critical_path_walks_the_latest_finishers() {
-        let tree = SpanTree::from_trace(&retrieval_trace()).unwrap();
+        let tree = tree_of(&retrieval_trace()).unwrap();
         let path = tree.critical_path();
         let labels: Vec<&str> = path.iter().map(|h| h.label.as_str()).collect();
         // Inside provider_walk the second RPC finishes at the phase end;
@@ -559,7 +582,45 @@ mod tests {
         events.push(ev(peer_end, TraceEventKind::DialStarted { peer: 99 }));
         events.push(ev(peer_end + dial_ms, TraceEventKind::DialCompleted { peer: 99 }));
         events.push(ev(fetch_end, TraceEventKind::OpFinished { success: true }));
-        OpTrace { events }
+        trace_of(events)
+    }
+
+    /// A time-ordered trace from generated `(event selector, peer, gap ms)`
+    /// triples. Gaps are mostly zero, so sends, replies, dials and phase
+    /// changes often share an instant; peers come from a small pool, so
+    /// replies pair with earlier sends (or with none).
+    fn random_trace(steps: &[(u8, usize, u64)], finished: bool) -> OpTrace {
+        const PHASES: [&str; 6] =
+            ["bitswap_probe", "provider_walk", "peer_walk", "fetch", "walk", "rpc_batch"];
+        let mut t = 0;
+        let mut events = vec![ev(0, TraceEventKind::OpStarted { kind: "retrieve" })];
+        for &(sel, peer, gap) in steps {
+            t += gap;
+            let kind = match sel {
+                0 => TraceEventKind::PhaseEntered { phase: PHASES[peer % PHASES.len()] },
+                1 => TraceEventKind::RpcSent { kind: "FIND_NODE", peer },
+                2 => TraceEventKind::RpcSent { kind: "GET_PROVIDERS", peer },
+                3 => TraceEventKind::RpcOk { peer },
+                4 => TraceEventKind::RpcFailed { peer },
+                5 => TraceEventKind::DialStarted { peer },
+                6 => TraceEventKind::DialCompleted { peer },
+                7 => TraceEventKind::DialFailed { peer, class: crate::DialClass::FastRefuse },
+                _ => TraceEventKind::BlockReceived,
+            };
+            events.push(ev(t, kind));
+        }
+        if finished {
+            events.push(ev(t + 1, TraceEventKind::OpFinished { success: true }));
+        }
+        trace_of(events)
+    }
+
+    /// A phase's child spans as a sorted multiset of `(label, start, end)`.
+    fn child_set(phase: &Span) -> Vec<(String, SimTime, SimTime)> {
+        let mut v: Vec<_> =
+            phase.children.iter().map(|c| (c.label.clone(), c.start, c.end)).collect();
+        v.sort();
+        v
     }
 
     proptest! {
@@ -580,7 +641,7 @@ mod tests {
             );
 
             // (a) child spans nest within their parents.
-            let tree = SpanTree::from_trace(&trace).unwrap();
+            let tree = tree_of(&trace).unwrap();
             assert_nested(&tree.root);
 
             // (b) breakdown components sum exactly to the op duration.
@@ -597,6 +658,30 @@ mod tests {
             for pair in path.windows(2) {
                 prop_assert!(pair[0].end <= pair[1].start);
             }
+        }
+
+        /// Without remote fragments, `stitch` builds the reference tree:
+        /// the same phase windows, the same child spans in each phase (as
+        /// a multiset: `stitch` orders children by start, end and label,
+        /// the reference by event order) and the same critical-path
+        /// length; and the breakdown partitions the same root interval.
+        #[test]
+        fn stitch_without_fragments_matches_the_reference_builder(
+            steps in proptest::collection::vec((0u8..9, 0usize..4, 0u64..3), 0..40),
+            finished in 0u8..4,
+        ) {
+            let trace = random_trace(&steps, finished != 0);
+            let stitched = tree_of(&trace).unwrap();
+            let reference = reference_tree(&trace).unwrap();
+            let window = |s: &Span| (s.label.clone(), s.start, s.end);
+            prop_assert_eq!(window(&stitched.root), window(&reference.root));
+            prop_assert_eq!(stitched.root.children.len(), reference.root.children.len());
+            for (s, r) in stitched.root.children.iter().zip(&reference.root.children) {
+                prop_assert_eq!(window(s), window(r));
+                prop_assert_eq!(child_set(s), child_set(r));
+            }
+            prop_assert_eq!(stitched.critical_path_duration(), reference.critical_path_duration());
+            prop_assert_eq!(LatencyBreakdown::from_trace(&trace).total(), stitched.duration());
         }
     }
 }

@@ -63,8 +63,6 @@ const NEAR_WINDOW: usize = 64;
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 /// Empty slot sentinel in the u32 arenas.
 const NONE32: u32 = u32::MAX;
-/// Flight-recorder ring capacity per region (walk-completion fragments).
-const FLIGHT_CAP: usize = 64;
 
 /// FNV-1a offset basis / prime (64-bit).
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -350,7 +348,7 @@ struct RegionState {
     free_walks: Vec<u32>,
     /// FNV-1a chain over this region's dispatch order `(at, key)`.
     order_fnv: u64,
-    /// Flight recorder: the last [`FLIGHT_CAP`] walk-completion span
+    /// Flight recorder: the last [`RING_CAP`](crate::obs::dtrace::RING_CAP) walk-completion span
     /// fragments dispatched in this region. Fixed capacity, `Copy`
     /// payloads, shard-invariant ids — recording never allocates in
     /// steady state and never perturbs event order.
@@ -397,23 +395,20 @@ impl RegionState {
         at: SimTime,
     ) {
         let seq = self.flight.take_seq();
-        self.flight.push(
-            FLIGHT_CAP,
-            SpanFragment {
-                trace_id: tkey,
-                span_id: fragment_span(tkey, node as usize, seq),
-                parent: tkey,
-                node,
-                peer,
-                label: "walk",
-                detail,
-                a: at.since(t0).as_nanos(),
-                b: rpcs as u64,
-                start: t0,
-                end: at,
-                seq,
-            },
-        );
+        self.flight.push(SpanFragment {
+            trace_id: tkey,
+            span_id: fragment_span(tkey, node as usize, seq),
+            parent: tkey,
+            node,
+            peer,
+            label: "walk",
+            detail,
+            a: at.since(t0).as_nanos(),
+            b: rpcs as u64,
+            start: t0,
+            end: at,
+            seq,
+        });
     }
 
     /// Whether `peer` is in node `local`'s ring (warm conn or addr book).

@@ -5,6 +5,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Scratch space for every gate's outputs, removed however the script exits.
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+
+# same_output WHAT A B: fails the script when two runs' outputs differ.
+same_output() {
+    if ! cmp -s "$2" "$3"; then
+        echo "$1 differs" >&2
+        diff "$2" "$3" >&2 || true
+        exit 1
+    fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -18,114 +31,78 @@ echo "== throughput smoke (events/sec regression gate) =="
 # The gate runs on the wheel scheduler — the default, and the one whose
 # performance we ship.
 cargo build --release -q -p bench --bin throughput
-SMOKE_DIR="$(mktemp -d)"
-IPFS_REPRO_CSV_DIR="$SMOKE_DIR" IPFS_REPRO_SCHED=wheel ./target/release/throughput --smoke \
+IPFS_REPRO_CSV_DIR="$WORK" IPFS_REPRO_SCHED=wheel ./target/release/throughput --smoke \
     --check-against results/BENCH_throughput_smoke_baseline.json
-rm -rf "$SMOKE_DIR"
 
 echo "== scheduler equivalence (heap vs wheel digest gate) =="
 # The timing wheel must be order-exactly equivalent to the BinaryHeap
 # reference: a digest run (deterministic event/walk counts + metrics
 # fingerprint, no wall-clock values) must be byte-identical under both.
-SCHED_DIR="$(mktemp -d)"
 IPFS_REPRO_SCHED=heap ./target/release/throughput --smoke --digest \
-    > "$SCHED_DIR/heap.txt" 2> /dev/null
+    > "$WORK/heap.txt" 2> /dev/null
 IPFS_REPRO_SCHED=wheel ./target/release/throughput --smoke --digest \
-    > "$SCHED_DIR/wheel.txt" 2> /dev/null
-if ! cmp -s "$SCHED_DIR/heap.txt" "$SCHED_DIR/wheel.txt"; then
-    echo "throughput --smoke --digest differs between IPFS_REPRO_SCHED=heap and =wheel" >&2
-    diff "$SCHED_DIR/heap.txt" "$SCHED_DIR/wheel.txt" >&2 || true
-    rm -rf "$SCHED_DIR"
-    exit 1
-fi
-rm -rf "$SCHED_DIR"
+    > "$WORK/wheel.txt" 2> /dev/null
+same_output "throughput --smoke --digest between IPFS_REPRO_SCHED=heap and =wheel" \
+    "$WORK/heap.txt" "$WORK/wheel.txt"
 
 echo "== PDES equivalence (serial vs sharded digest gate) =="
 # The region-sharded engine must reproduce the serial total order exactly:
 # a digest run (event counts, (time,key) order fingerprints, metrics
 # fingerprints, bytes/node — no wall-clock values) must be byte-identical
 # at IPFS_REPRO_SHARDS=1 (the exact serial path) and =6.
-PDES_DIR="$(mktemp -d)"
 IPFS_REPRO_SHARDS=1 ./target/release/throughput --smoke --digest \
-    > "$PDES_DIR/serial.txt" 2> /dev/null
+    > "$WORK/serial.txt" 2> /dev/null
 IPFS_REPRO_SHARDS=6 ./target/release/throughput --smoke --digest \
-    > "$PDES_DIR/sharded.txt" 2> /dev/null
-if ! cmp -s "$PDES_DIR/serial.txt" "$PDES_DIR/sharded.txt"; then
-    echo "throughput --smoke --digest differs between IPFS_REPRO_SHARDS=1 and =6" >&2
-    diff "$PDES_DIR/serial.txt" "$PDES_DIR/sharded.txt" >&2 || true
-    rm -rf "$PDES_DIR"
-    exit 1
-fi
-rm -rf "$PDES_DIR"
+    > "$WORK/sharded.txt" 2> /dev/null
+same_output "throughput --smoke --digest between IPFS_REPRO_SHARDS=1 and =6" \
+    "$WORK/serial.txt" "$WORK/sharded.txt"
 
 echo "== dtrace equivalence (tracing on/off digest gate) =="
-# Distributed tracing + the flight recorder observe, never perturb: a
-# digest run must be byte-identical with IPFS_REPRO_DTRACE unset and =1.
-DT_DIR="$(mktemp -d)"
-./target/release/throughput --smoke --digest > "$DT_DIR/off.txt" 2> /dev/null
+# Tracing (op logs, distributed fragments, the flight recorder and its
+# post-mortems) observes, never perturbs: a digest run must be
+# byte-identical with IPFS_REPRO_DTRACE unset and =1.
+./target/release/throughput --smoke --digest > "$WORK/off.txt" 2> /dev/null
 IPFS_REPRO_DTRACE=1 ./target/release/throughput --smoke --digest \
-    > "$DT_DIR/on.txt" 2> /dev/null
-if ! cmp -s "$DT_DIR/off.txt" "$DT_DIR/on.txt"; then
-    echo "throughput --smoke --digest differs between IPFS_REPRO_DTRACE unset and =1" >&2
-    diff "$DT_DIR/off.txt" "$DT_DIR/on.txt" >&2 || true
-    rm -rf "$DT_DIR"
-    exit 1
-fi
-rm -rf "$DT_DIR"
+    > "$WORK/on.txt" 2> /dev/null
+same_output "throughput --smoke --digest between IPFS_REPRO_DTRACE unset and =1" \
+    "$WORK/off.txt" "$WORK/on.txt"
 
 echo "== dtrace overhead (tracing throughput budget gate) =="
-# The always-on flight recorder plus full tracing must keep the smoke sim
-# cell at >= 0.8x the untraced events/sec (exit 1 inside the bin if not).
+# Full tracing (collection and post-mortems, which also fill the flight
+# rings) must keep the smoke sim cell at >= 0.8x the untraced events/sec
+# (exit 1 inside the bin if not).
 ./target/release/throughput --overhead-check
 
 echo "== chaos smoke (fault-injection determinism gate) =="
 # The chaos harness must exit 0 and print byte-identical output whether
 # its scenario cells run serially or on 4 worker threads.
 cargo build --release -q -p bench --bin chaos
-CHAOS_DIR="$(mktemp -d)"
-IPFS_REPRO_JOBS=1 ./target/release/chaos --smoke > "$CHAOS_DIR/j1.txt"
-IPFS_REPRO_JOBS=4 ./target/release/chaos --smoke > "$CHAOS_DIR/j4.txt"
-if ! cmp -s "$CHAOS_DIR/j1.txt" "$CHAOS_DIR/j4.txt"; then
-    echo "chaos --smoke output differs between IPFS_REPRO_JOBS=1 and =4" >&2
-    diff "$CHAOS_DIR/j1.txt" "$CHAOS_DIR/j4.txt" >&2 || true
-    rm -rf "$CHAOS_DIR"
-    exit 1
-fi
-rm -rf "$CHAOS_DIR"
+IPFS_REPRO_JOBS=1 ./target/release/chaos --smoke > "$WORK/chaos_j1.txt"
+IPFS_REPRO_JOBS=4 ./target/release/chaos --smoke > "$WORK/chaos_j4.txt"
+same_output "chaos --smoke output between IPFS_REPRO_JOBS=1 and =4" \
+    "$WORK/chaos_j1.txt" "$WORK/chaos_j4.txt"
 
 echo "== gateway fleet smoke (determinism + requests/sec regression gate) =="
 # The fleet harness must exit 0, stay byte-identical on stdout whether its
 # cells run serially or on 4 workers, and hold the headline cell's
 # sustained requests/sec within 0.7x of the recorded baseline.
 cargo build --release -q -p bench --bin gateway_fleet
-FLEET_DIR="$(mktemp -d)"
-IPFS_REPRO_JOBS=1 ./target/release/gateway_fleet --smoke > "$FLEET_DIR/j1.txt" 2> /dev/null
+IPFS_REPRO_JOBS=1 ./target/release/gateway_fleet --smoke > "$WORK/fleet_j1.txt" 2> /dev/null
 IPFS_REPRO_JOBS=4 ./target/release/gateway_fleet --smoke \
-    --check-against results/BENCH_gateway_fleet.json > "$FLEET_DIR/j4.txt"
-if ! cmp -s "$FLEET_DIR/j1.txt" "$FLEET_DIR/j4.txt"; then
-    echo "gateway_fleet --smoke output differs between IPFS_REPRO_JOBS=1 and =4" >&2
-    diff "$FLEET_DIR/j1.txt" "$FLEET_DIR/j4.txt" >&2 || true
-    rm -rf "$FLEET_DIR"
-    exit 1
-fi
-rm -rf "$FLEET_DIR"
+    --check-against results/BENCH_gateway_fleet.json > "$WORK/fleet_j4.txt"
+same_output "gateway_fleet --smoke output between IPFS_REPRO_JOBS=1 and =4" \
+    "$WORK/fleet_j1.txt" "$WORK/fleet_j4.txt"
 
 echo "== swarm smoke (determinism + goodput regression gate) =="
 # The swarm-transfer harness must exit 0, stay byte-identical on stdout
 # whether its cells run serially or on 4 workers, and hold the headline
 # cell's events/sec within 0.7x of the recorded smoke baseline.
 cargo build --release -q -p bench --bin swarm
-SWARM_DIR="$(mktemp -d)"
-IPFS_REPRO_JOBS=1 ./target/release/swarm --smoke > "$SWARM_DIR/j1.txt" 2> /dev/null
+IPFS_REPRO_JOBS=1 ./target/release/swarm --smoke > "$WORK/swarm_j1.txt" 2> /dev/null
 IPFS_REPRO_JOBS=4 ./target/release/swarm --smoke \
-    --check-against results/BENCH_swarm_smoke_baseline.json > "$SWARM_DIR/j4.txt"
-if ! cmp -s "$SWARM_DIR/j1.txt" "$SWARM_DIR/j4.txt"; then
-    echo "swarm --smoke output differs between IPFS_REPRO_JOBS=1 and =4" >&2
-    diff "$SWARM_DIR/j1.txt" "$SWARM_DIR/j4.txt" >&2 || true
-    rm -rf "$SWARM_DIR"
-    exit 1
-fi
-rm -rf "$SWARM_DIR"
+    --check-against results/BENCH_swarm_smoke_baseline.json > "$WORK/swarm_j4.txt"
+same_output "swarm --smoke output between IPFS_REPRO_JOBS=1 and =4" \
+    "$WORK/swarm_j1.txt" "$WORK/swarm_j4.txt"
 
 echo "== lifecycle smoke (determinism + events/sec gates) =="
 # The content-lifecycle harness must exit 0 and print byte-identical
@@ -133,42 +110,29 @@ echo "== lifecycle smoke (determinism + events/sec gates) =="
 # shards, while holding the headline cell's events/sec within 0.7x of the
 # recorded smoke baseline.
 cargo build --release -q -p bench --bin lifecycle
-LIFE_DIR="$(mktemp -d)"
 IPFS_REPRO_JOBS=1 IPFS_REPRO_SHARDS=1 ./target/release/lifecycle --smoke \
-    > "$LIFE_DIR/j1.txt" 2> /dev/null
+    > "$WORK/life_j1.txt" 2> /dev/null
 IPFS_REPRO_JOBS=4 IPFS_REPRO_SHARDS=4 ./target/release/lifecycle --smoke \
-    --check-against results/BENCH_lifecycle_smoke_baseline.json > "$LIFE_DIR/j4.txt"
-if ! cmp -s "$LIFE_DIR/j1.txt" "$LIFE_DIR/j4.txt"; then
-    echo "lifecycle --smoke output differs between jobs/shards 1 and 4" >&2
-    diff "$LIFE_DIR/j1.txt" "$LIFE_DIR/j4.txt" >&2 || true
-    rm -rf "$LIFE_DIR"
-    exit 1
-fi
-rm -rf "$LIFE_DIR"
+    --check-against results/BENCH_lifecycle_smoke_baseline.json > "$WORK/life_j4.txt"
+same_output "lifecycle --smoke output between jobs/shards 1 and 4" \
+    "$WORK/life_j1.txt" "$WORK/life_j4.txt"
 
 echo "== latency smoke (span-attribution determinism gate) =="
 # The latency-attribution harness must exit 0, emit its table + JSON, and
 # print byte-identical artifacts whether cells run serially or on 4
 # workers (stdout and both written files are compared).
 cargo build --release -q -p bench --bin latency
-LAT_DIR="$(mktemp -d)"
-IPFS_REPRO_JOBS=1 ./target/release/latency --smoke --out "$LAT_DIR/j1" \
-    --trace-out "$LAT_DIR/j1/traces.json" > /dev/null
-IPFS_REPRO_JOBS=4 ./target/release/latency --smoke --out "$LAT_DIR/j4" \
-    --trace-out "$LAT_DIR/j4/traces.json" > /dev/null
+IPFS_REPRO_JOBS=1 ./target/release/latency --smoke --out "$WORK/lat_j1" \
+    --trace-out "$WORK/lat_j1/traces.json" > /dev/null
+IPFS_REPRO_JOBS=4 ./target/release/latency --smoke --out "$WORK/lat_j4" \
+    --trace-out "$WORK/lat_j4/traces.json" > /dev/null
 for f in tab_latency_attribution.txt BENCH_latency.json traces.json; do
-    if ! cmp -s "$LAT_DIR/j1/$f" "$LAT_DIR/j4/$f"; then
-        echo "latency --smoke $f differs between IPFS_REPRO_JOBS=1 and =4" >&2
-        diff "$LAT_DIR/j1/$f" "$LAT_DIR/j4/$f" >&2 || true
-        rm -rf "$LAT_DIR"
-        exit 1
-    fi
+    same_output "latency --smoke $f between IPFS_REPRO_JOBS=1 and =4" \
+        "$WORK/lat_j1/$f" "$WORK/lat_j4/$f"
 done
-grep -q '"dominant_component": "dht_walk"' "$LAT_DIR/j1/BENCH_latency.json" || {
+grep -q '"dominant_component": "dht_walk"' "$WORK/lat_j1/BENCH_latency.json" || {
     echo "latency --smoke: DHT walk is not the dominant component" >&2
-    rm -rf "$LAT_DIR"
     exit 1
 }
-rm -rf "$LAT_DIR"
 
 echo "All checks passed."

@@ -4,7 +4,7 @@
 //! keeps gateway cold fetches on the full DHT path) must hold.
 
 use integration_tests::{payload, test_network, test_network_with};
-use ipfs_core::{LatencyBreakdown, NetworkConfig, SpanTree, TraceConfig, TraceEventKind};
+use ipfs_core::{LatencyBreakdown, NetworkConfig, TraceConfig, TraceEventKind};
 use simnet::SimDuration;
 
 #[test]
@@ -18,7 +18,7 @@ fn retrieval_trace_reproduces_the_section_3_2_pipeline() {
         101,
     );
     let [eu, sa] = ids[..] else { unreachable!() };
-    net.set_trace_config(TraceConfig::enabled());
+    net.set_trace_config(TraceConfig::collecting());
 
     let data = payload(512 * 1024, 1);
     let cid = net.import_content(sa, &data);
@@ -41,7 +41,7 @@ fn retrieval_trace_reproduces_the_section_3_2_pipeline() {
     assert_eq!(pub_trace.phases(), vec!["walk", "rpc_batch"]);
     assert!(pub_trace.contains(|k| matches!(k, TraceEventKind::OpFinished { success: true })));
 
-    let trace = net.take_trace(op).expect("retrieve trace recorded");
+    let trace = net.trace(op).expect("retrieve trace recorded");
     // §3.2 in order: opportunistic Bitswap probe → provider-record walk →
     // peer-record walk → dial + fetch.
     assert_eq!(
@@ -104,7 +104,7 @@ fn span_breakdown_pins_the_section_3_2_pipeline_timing() {
         101,
     );
     let [eu, sa] = ids[..] else { unreachable!() };
-    net.set_trace_config(TraceConfig::enabled());
+    net.set_trace_config(TraceConfig::collecting());
 
     let data = payload(512 * 1024, 1);
     let cid = net.import_content(sa, &data);
@@ -129,8 +129,7 @@ fn span_breakdown_pins_the_section_3_2_pipeline_timing() {
 
     // Retrieval breakdown: every §3.2 phase matches the RetrieveReport
     // field for field, and the components partition the total exactly.
-    let trace = net.take_trace(op).expect("retrieve trace recorded");
-    let bd = LatencyBreakdown::from_trace(&trace);
+    let bd = LatencyBreakdown::from_trace(net.trace(op).expect("retrieve trace recorded"));
     assert_eq!(bd.total(), rr.total, "components sum exactly to op duration");
     assert_eq!(bd.bitswap_probe, rr.bitswap_probe);
     assert_eq!(bd.bitswap_probe, SimDuration::from_secs(1), "probe burned its 1 s timeout");
@@ -141,9 +140,10 @@ fn span_breakdown_pins_the_section_3_2_pipeline_timing() {
     assert_eq!(bd.dial + bd.fetch, rr.fetch, "report's fetch = dial + transfer");
     assert_eq!(bd.other, SimDuration::ZERO, "no unattributed time in this pipeline");
 
-    // Span tree: op span nests phase spans, phases nest RPC/dial spans;
-    // the critical path is chronological, within the op, and bounded.
-    let tree = SpanTree::from_trace(&trace).expect("span tree built");
+    // Stitched span tree: op span nests phase spans, phases nest RPC/dial
+    // spans (and the remote spans they caused); the critical path is
+    // chronological, within the op, and bounded.
+    let tree = net.stitched_trace(op).expect("span tree built");
     assert_eq!(tree.duration(), rr.total);
     assert!(!tree.root.children.is_empty(), "phases present");
     for phase in &tree.root.children {
