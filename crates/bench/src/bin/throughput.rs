@@ -18,10 +18,8 @@
 //!    bytes_per_node) is byte-identical at any shard count; only the
 //!    wall-clock rates may move.
 //! 4. **scheduler** — a microbench of the event queue itself: steady-state
-//!    schedule+pop churn at a fixed pending-set size, for both the
-//!    `BinaryHeap` reference and the timing-wheel scheduler
-//!    (`IPFS_REPRO_SCHED` selects which one the sim sections use) — plus
-//!    the sharded engine dispatching a synthetic relay workload.
+//!    schedule+pop churn on the timing wheel at a fixed pending-set size —
+//!    plus the sharded engine dispatching a synthetic relay workload.
 //!
 //! Full (non-smoke) runs repeat each cell three times and report the
 //! fastest repetition — min-of-N is robust to co-tenant noise — while
@@ -35,9 +33,9 @@
 //! * `--smoke` — tiny fixed-size run for CI regression gating.
 //! * `--digest` — print only deterministic per-cell results (event counts,
 //!   walk counts, a metrics fingerprint) and skip everything wall-clock
-//!   derived. Two runs at the same seed must produce byte-identical
-//!   digests regardless of scheduler implementation — `scripts/check.sh`
-//!   diffs heap vs wheel this way.
+//!   derived. `scripts/check.sh` compares the smoke digest with the one
+//!   pinned in `results/throughput_smoke_digest.txt`, and diffs it across
+//!   shard counts and with tracing on and off.
 //! * `--check-against <path>` — compare this run's sim events/sec against
 //!   a previously recorded JSON (same mode); exit non-zero on a >30%
 //!   regression.
@@ -63,8 +61,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::latency::{LatencyModel, VantagePoint};
 use simnet::{
-    EventQueue, Population, PopulationConfig, RegionEvent, SchedulerKind, ShardedEngine,
-    SimDuration, SimTime,
+    EventQueue, Population, PopulationConfig, RegionEvent, ShardedEngine, SimDuration, SimTime,
 };
 use std::time::Instant;
 
@@ -100,8 +97,8 @@ fn run_routing(cell: &Cell, seed: u64) -> (usize, usize, f64, f64) {
     (rt.len(), touched, elapsed, cell.closest_calls as f64 / elapsed)
 }
 
-/// Deterministic result of the sim section (identical across scheduler
-/// implementations at the same seed), plus wall-clock rates.
+/// Deterministic result of the sim section (identical across runs at the
+/// same seed), plus wall-clock rates.
 struct SimResult {
     events: u64,
     walks: usize,
@@ -195,9 +192,9 @@ fn run_sim(cell: &Cell, seed: u64, dtrace: bool) -> SimResult {
 /// earliest event and schedules a replacement at a random future delay, so
 /// the pending-set size stays constant. Returns ops/sec (one pop plus one
 /// schedule count as two ops).
-fn run_scheduler(kind: SchedulerKind, pending: usize, churn_ops: usize, seed: u64) -> f64 {
+fn run_scheduler(pending: usize, churn_ops: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed ^ (pending as u64).rotate_left(17));
-    let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
+    let mut q: EventQueue<u64> = EventQueue::new();
     for i in 0..pending {
         q.schedule(SimDuration::from_nanos(rng.random_range(0..60_000_000_000u64)), i as u64);
     }
@@ -256,8 +253,8 @@ fn measure_pdes(cell: &PdesCell, seed: u64, shards: usize, digest: bool) -> Stri
     }
     if digest {
         // Everything here is a pure function of (seed, cell) — identical
-        // at every shard count, worker count, and scheduler implementation.
-        // `scripts/check.sh` byte-diffs IPFS_REPRO_SHARDS=1 vs =6 runs.
+        // at every shard count and worker count. `scripts/check.sh`
+        // byte-diffs IPFS_REPRO_SHARDS=1 vs =6 runs.
         println!(
             "digest pdes {}: events={} order_fnv={:016x} metrics_fnv={:016x} bytes_per_node={}",
             cell.label, best.events, best.order_fnv, best.metrics_fnv, best.bytes_per_node
@@ -346,11 +343,19 @@ fn run_sharded_relay(shards: usize, tokens: usize, sim_secs: u64, seed: u64) -> 
     (dispatched, start.elapsed().as_secs_f64().max(1e-9))
 }
 
-fn sched_name(kind: SchedulerKind) -> &'static str {
-    match kind {
-        SchedulerKind::Heap => "heap",
-        SchedulerKind::Wheel => "wheel",
-    }
+/// One entry of the JSON report's `scheduler` list.
+fn sched_entry(name: &str, pending: usize, churn_ops: u64, ops_per_sec: f64) -> String {
+    format!(
+        concat!(
+            "    {{\n",
+            "      \"impl\": \"{}\",\n",
+            "      \"pending\": {},\n",
+            "      \"churn_ops\": {},\n",
+            "      \"ops_per_sec\": {:.1}\n",
+            "    }}"
+        ),
+        name, pending, churn_ops, ops_per_sec
+    )
 }
 
 fn measure(cell: &Cell, seed: u64, digest: bool, reps: usize) -> String {
@@ -378,8 +383,8 @@ fn measure(cell: &Cell, seed: u64, digest: bool, reps: usize) -> String {
         }
     }
     if digest {
-        // Only values that are a pure function of (seed, scale, scheduler
-        // equivalence) — nothing wall-clock derived.
+        // Only values that are a pure function of (seed, scale) — nothing
+        // wall-clock derived.
         println!(
             "digest {}: table={} touched={} events={} walks={} metrics_fnv={:016x} \
 bytes_per_node={}",
@@ -500,12 +505,6 @@ fn main() {
         run_overhead_check(seed);
         return;
     }
-    if digest {
-        // To stderr: stdout must be byte-identical across scheduler
-        // implementations, and this line names the one in use.
-        eprintln!("scheduler: {}", sched_name(SchedulerKind::from_env()));
-    }
-
     let cells: Vec<Cell> = if smoke {
         vec![Cell { label: "smoke", population: 500, closest_calls: 20_000, rounds: 40 }]
     } else {
@@ -539,8 +538,8 @@ fn main() {
     };
     let shards = shards_from_env();
     if digest {
-        // Like the scheduler name: stdout must be byte-identical across
-        // IPFS_REPRO_SHARDS values, so the shard count goes to stderr.
+        // To stderr: stdout must be byte-identical across IPFS_REPRO_SHARDS
+        // values.
         eprintln!("pdes shards: {shards}");
     }
 
@@ -551,39 +550,19 @@ fn main() {
     let pdes_entries: Vec<String> =
         pdes_cells.iter().map(|c| measure_pdes(c, seed, shards, digest)).collect();
     if digest {
-        // Digest runs exist to be byte-diffed across scheduler
-        // implementations; rates and JSON export would only add noise.
+        // Digest runs exist to be byte-compared against the pinned digest
+        // and across runs; rates and JSON export would only add noise.
         return;
     }
 
-    // Scheduler microbench: heap vs wheel at fixed pending-set sizes.
+    // Scheduler microbench: the timing wheel at fixed pending-set sizes.
     let sched_cells: &[(usize, usize)] =
         if smoke { &[(10_000, 50_000)] } else { &[(10_000, 200_000), (1_000_000, 200_000)] };
     let mut sched_entries: Vec<String> = Vec::new();
     for &(pending, churn_ops) in sched_cells {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let ops_per_sec = run_scheduler(kind, pending, churn_ops, seed);
-            println!(
-                "scheduler: {} with {} pending — {:.0} schedule+pop ops/s",
-                sched_name(kind),
-                pending,
-                ops_per_sec
-            );
-            sched_entries.push(format!(
-                concat!(
-                    "    {{\n",
-                    "      \"impl\": \"{}\",\n",
-                    "      \"pending\": {},\n",
-                    "      \"churn_ops\": {},\n",
-                    "      \"ops_per_sec\": {:.1}\n",
-                    "    }}"
-                ),
-                sched_name(kind),
-                pending,
-                churn_ops,
-                ops_per_sec
-            ));
-        }
+        let ops_per_sec = run_scheduler(pending, churn_ops, seed);
+        println!("scheduler: wheel with {pending} pending — {ops_per_sec:.0} schedule+pop ops/s");
+        sched_entries.push(sched_entry("wheel", pending, churn_ops as u64, ops_per_sec));
     }
     // The sharded engine on a pure relay workload: dispatch + window
     // synchronization overhead with no model work in the handler.
@@ -595,19 +574,7 @@ fn main() {
         relay_tokens * 10,
         relay_rate
     );
-    sched_entries.push(format!(
-        concat!(
-            "    {{\n",
-            "      \"impl\": \"sharded_relay\",\n",
-            "      \"pending\": {},\n",
-            "      \"churn_ops\": {},\n",
-            "      \"ops_per_sec\": {:.1}\n",
-            "    }}"
-        ),
-        relay_tokens * 10,
-        relay_events,
-        relay_rate
-    ));
+    sched_entries.push(sched_entry("sharded_relay", relay_tokens * 10, relay_events, relay_rate));
 
     let json = format!(
         concat!(

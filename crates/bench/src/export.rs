@@ -6,7 +6,7 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where CSVs go, if anywhere: the `IPFS_REPRO_CSV_DIR` directory.
 pub fn csv_dir() -> Option<PathBuf> {
@@ -38,17 +38,22 @@ pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
 /// the path written, or `None` when exporting is off. IO errors are
 /// reported to stderr but never fail the experiment.
 pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Option<PathBuf> {
-    let dir = csv_dir()?;
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("csv export: cannot create {}: {e}", dir.display());
+    write_into(&csv_dir()?, name, "csv", &to_csv(headers, rows))
+}
+
+/// Writes `contents` to `<dir>/<name>.<ext>`, creating `dir` if needed.
+/// Returns the path written; IO errors are reported to stderr and yield
+/// `None`.
+fn write_into(dir: &Path, name: &str, ext: &str, contents: &str) -> Option<PathBuf> {
+    if let Err(e) = fs::create_dir_all(dir) {
+        eprintln!("{ext} export: cannot create {}: {e}", dir.display());
         return None;
     }
-    let path = dir.join(format!("{name}.csv"));
-    let csv = to_csv(headers, rows);
-    match fs::File::create(&path).and_then(|mut f| f.write_all(csv.as_bytes())) {
+    let path = dir.join(format!("{name}.{ext}"));
+    match fs::File::create(&path).and_then(|mut f| f.write_all(contents.as_bytes())) {
         Ok(()) => Some(path),
         Err(e) => {
-            eprintln!("csv export: cannot write {}: {e}", path.display());
+            eprintln!("{ext} export: cannot write {}: {e}", path.display());
             None
         }
     }
@@ -110,19 +115,7 @@ pub fn write_series_csv(
 /// or [`ipfs_core::OpTrace::to_json`]). Same error policy as
 /// [`write_csv`]: IO failures are reported, never fatal.
 pub fn write_json(name: &str, json: &str) -> Option<PathBuf> {
-    let dir = csv_dir()?;
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("json export: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("json export: cannot write {}: {e}", path.display());
-            None
-        }
-    }
+    write_into(&csv_dir()?, name, "json", json)
 }
 
 /// Renders a human-readable report of a metrics registry: every counter,
@@ -280,15 +273,17 @@ mod tests {
 
     #[test]
     fn writes_into_configured_dir() {
-        let dir = std::env::temp_dir().join(format!("ipfs-repro-csv-{}", std::process::id()));
-        // SAFETY-free env manipulation: tests in this module run in one
-        // process; restore afterwards.
-        std::env::set_var("IPFS_REPRO_CSV_DIR", &dir);
-        let path =
-            write_csv("unit_test", &["a", "b"], &[vec!["1".into(), "2".into()]]).expect("written");
-        let content = fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-        std::env::remove_var("IPFS_REPRO_CSV_DIR");
-        let _ = fs::remove_dir_all(dir);
+        // The directory is passed in, so no test touches the process
+        // environment that other tests in this binary read concurrently.
+        let dir = std::env::temp_dir()
+            .join(format!("ipfs-repro-csv-{}", std::process::id()))
+            .join("nested");
+        let csv = to_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
+        let path = write_into(&dir, "unit_test", "csv", &csv).expect("written");
+        assert_eq!(path, dir.join("unit_test.csv"));
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        let path = write_into(&dir, "unit_test", "json", "{}\n").expect("written");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "{}\n");
+        let _ = fs::remove_dir_all(dir.parent().unwrap());
     }
 }

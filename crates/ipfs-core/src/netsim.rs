@@ -48,6 +48,38 @@ pub type NodeId = usize;
 /// seed-derived range.
 const VANTAGE_KEY_BASE: u64 = 0xFFFF_0000_0000_0000;
 
+/// Server-side request processing time.
+const SERVER_PROCESSING: SimDuration = SimDuration::from_millis(3);
+
+/// Oracle-bootstrap: number of numerically-near peers per table.
+const BOOTSTRAP_NEAR_PEERS: usize = 20;
+
+/// Oracle-bootstrap: number of random far peers per table.
+const BOOTSTRAP_RANDOM_PEERS: usize = 60;
+
+/// Keyspace granularity of one reprovide-sweep batch: provided CIDs are
+/// grouped by the top `REPROVIDE_BATCH_BITS` bits of their DHT key, one
+/// Closest walk per non-empty group. 8 bits ≈ 256 neighborhoods across the
+/// keyspace — coarser (fewer bits) amortizes more CIDs per walk but
+/// targets each store set less precisely.
+const REPROVIDE_BATCH_BITS: u32 = 8;
+
+/// Guard timeout for a content fetch.
+const FETCH_TIMEOUT: SimDuration = SimDuration::from_secs(120);
+
+/// The opportunistic-Bitswap probe window: §3.2's 1 s timeout before
+/// falling back to the DHT (the `parallel_dht_and_bitswap` ablation of
+/// §6.4 starts the walk without waiting it out).
+const BITSWAP_PROBE_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
+/// Probability that the connection to a walk-discovered peer is gone by
+/// the time the ADD_PROVIDER batch fires, forcing a fresh dial that fails
+/// with a transport timeout. This models what §6.1 observed: "the spike at
+/// 5 s is caused by dial timeouts ... the spike at 45 s ... by the
+/// handshake timeout of the Websocket transport". 53.7 % of the paper's
+/// batches exceeded 5 s, i.e. ≥1 of 20 stores timed out.
+const STALE_DIAL_PROB: f64 = 0.045;
+
 /// Simulation-level configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
@@ -57,8 +89,6 @@ pub struct NetworkConfig {
     pub timeouts: TimeoutModel,
     /// Geo latency/bandwidth model.
     pub latency: LatencyModel,
-    /// Server-side request processing time.
-    pub server_processing: SimDuration,
     /// Whether provider records carry fresh addresses. go-ipfs v0.10
     /// expires provider addresses quickly, so the paper observed two DHT
     /// walks per retrieval (Figure 9e); `false` reproduces that.
@@ -69,10 +99,6 @@ pub struct NetworkConfig {
     /// Ablation (§6.4): launch the DHT walk in parallel with the
     /// opportunistic Bitswap probe instead of waiting out the 1 s timeout.
     pub parallel_dht_and_bitswap: bool,
-    /// Oracle-bootstrap: number of numerically-near peers per table.
-    pub bootstrap_near_peers: usize,
-    /// Oracle-bootstrap: number of random far peers per table.
-    pub bootstrap_random_peers: usize,
     /// Republish provider records every 12 h (§3.1).
     pub auto_republish: bool,
     /// Keyspace-ordered reprovide sweep (go-ipfs's accelerated DHT
@@ -85,22 +111,10 @@ pub struct NetworkConfig {
     /// the per-CID chains (the reference path the lifecycle bench and
     /// proptests compare against).
     pub reprovide_sweep: bool,
-    /// Keyspace granularity of one sweep batch: provided CIDs are
-    /// grouped by the top `reprovide_batch_bits` bits of their DHT key,
-    /// one Closest walk per non-empty group. 8 bits ≈ 256 neighborhoods
-    /// across the keyspace — coarser (fewer bits) amortizes more CIDs
-    /// per walk but targets each store set less precisely.
-    pub reprovide_batch_bits: u8,
     /// Ablation (§6.4): disable the DHT client/server split — NAT'ed
     /// clients enter routing tables as if they were servers (pre-v0.5
     /// behaviour), so walks waste time dialing unreachable peers.
     pub clients_in_routing_tables: bool,
-    /// Guard timeout for a content fetch.
-    pub fetch_timeout: SimDuration,
-    /// The opportunistic-Bitswap probe window (§3.2's 1 s timeout before
-    /// falling back to the DHT). A knob rather than a constant so the
-    /// probe/DHT trade-off is explorable.
-    pub bitswap_probe_timeout: SimDuration,
     /// Session duplicate factor: how many peers a live want is raced
     /// across as WANT-BLOCK. 1 fetches each block exactly once (no
     /// redundancy, go-bitswap's default posture); higher trades duplicate
@@ -109,13 +123,6 @@ pub struct NetworkConfig {
     /// How many provider records from the DHT walk seed the fetch swarm
     /// (go-bitswap dials a handful of providers, not just the first).
     pub max_fetch_providers: usize,
-    /// Probability that the connection to a walk-discovered peer is gone
-    /// by the time the ADD_PROVIDER batch fires, forcing a fresh dial that
-    /// fails with a transport timeout. This models what §6.1 observed:
-    /// "the spike at 5 s is caused by dial timeouts ... the spike at 45 s
-    /// ... by the handshake timeout of the Websocket transport". 53.7 % of
-    /// the paper's batches exceeded 5 s, i.e. ≥1 of 20 stores timed out.
-    pub stale_dial_prob: f64,
     /// Connection-manager cap: oldest warm connections are pruned beyond
     /// this (go-libp2p's connection manager; its pruning is one reason
     /// publish batches re-dial, §6.1).
@@ -156,21 +163,14 @@ impl Default for NetworkConfig {
             node: NodeConfig::default(),
             timeouts: TimeoutModel::default(),
             latency: LatencyModel::default(),
-            server_processing: SimDuration::from_millis(3),
             provider_records_carry_addrs: false,
             retriever_becomes_provider: false,
             parallel_dht_and_bitswap: false,
-            bootstrap_near_peers: 20,
-            bootstrap_random_peers: 60,
             auto_republish: false,
             reprovide_sweep: true,
-            reprovide_batch_bits: 8,
             clients_in_routing_tables: false,
-            fetch_timeout: SimDuration::from_secs(120),
-            bitswap_probe_timeout: SimDuration::from_secs(1),
             duplicate_factor: 1,
             max_fetch_providers: 8,
-            stale_dial_prob: 0.045,
             max_connections: 900,
             conn_idle_timeout: SimDuration::from_secs(120),
             enable_dcutr: false,
@@ -702,8 +702,8 @@ impl IpfsNetwork {
     /// to *its* key — the effect a real node's join-time self-lookup has —
     /// so peer walks (§3.2) can resolve PeerIDs to addresses.
     fn oracle_bootstrap(&mut self) {
-        let near = self.cfg.bootstrap_near_peers;
-        let random = self.cfg.bootstrap_random_peers;
+        let near = BOOTSTRAP_NEAR_PEERS;
+        let random = BOOTSTRAP_RANDOM_PEERS;
         // Which peers may appear in routing tables: servers only (§2.3),
         // unless the client/server-split ablation is on.
         let include_clients = self.cfg.clients_in_routing_tables;
@@ -1094,7 +1094,7 @@ impl IpfsNetwork {
         if self.sorted_servers.is_empty() {
             return;
         }
-        let near = self.cfg.bootstrap_near_peers.max(1);
+        let near = BOOTSTRAP_NEAR_PEERS;
         let own_region = self.nodes[id].region;
         let info = self.nodes[id].node.info().clone();
         let own_key = info.key(); // cached SHA-256 of the PeerID
@@ -1129,7 +1129,7 @@ impl IpfsNetwork {
         }
         // (b) Refresh own table: nearby + random online servers.
         let mut to_add: Vec<NodeId> = nearby.into_iter().map(|(_, sid)| sid).collect();
-        for _ in 0..self.cfg.bootstrap_random_peers / 3 {
+        for _ in 0..BOOTSTRAP_RANDOM_PEERS / 3 {
             let (_, sid) = self.sorted_servers[self.rng.random_range(0..self.sorted_servers.len())];
             if sid != id && reachable(self, sid) {
                 to_add.push(sid);
@@ -1340,7 +1340,7 @@ impl IpfsNetwork {
 
     /// The keyspace-ordered reprovide sweep: walks `id`'s provided CIDs in
     /// DHT-key order, groups them into keyspace neighborhoods by the top
-    /// [`NetworkConfig::reprovide_batch_bits`] bits of their key, and runs
+    /// [`REPROVIDE_BATCH_BITS`] bits of their key, and runs
     /// one Closest walk per non-empty neighborhood, storing the whole
     /// group with batched ADD_PROVIDER RPCs — one walk + k messages per
     /// *neighborhood* instead of per CID. This is the maintenance loop
@@ -1372,12 +1372,11 @@ impl IpfsNetwork {
         self.metrics.add(names::PROVIDER_REPUBLISHES, keep.len() as u64);
         // Group by keyspace prefix. BTreeMap iteration handed us the CIDs
         // already key-sorted, so each group is a contiguous, ordered run.
-        let bits = u32::from(self.cfg.reprovide_batch_bits.min(16));
         let mut batches: Vec<(Key, Vec<Cid>)> = Vec::new();
         let mut last_prefix: Option<u16> = None;
         for (key, cid) in keep {
             let wide = u16::from_be_bytes([key.0[0], key.0[1]]);
-            let prefix = if bits == 0 { 0 } else { wide >> (16 - bits) };
+            let prefix = wide >> (16 - REPROVIDE_BATCH_BITS);
             if last_prefix != Some(prefix) {
                 last_prefix = Some(prefix);
                 batches.push((key, Vec::new()));
@@ -1391,8 +1390,9 @@ impl IpfsNetwork {
             self.ops.insert(op, OpState::SweepBatch { node: id, cids, outstanding: 0 });
             self.dtrace.note_op(op, id);
             // One walk toward the neighborhood's first key serves every
-            // CID in the batch: within a 2^-bits slice of the keyspace,
-            // the k closest peers are (to good approximation) shared.
+            // CID in the batch: within a 2^-REPROVIDE_BATCH_BITS slice of
+            // the keyspace, the k closest peers are (to good approximation)
+            // shared.
             let (qid, outputs) =
                 self.nodes[id].node.dht.start_query(first_key, QueryTarget::Closest);
             self.query_owner.insert((id, qid), op);
@@ -1469,8 +1469,7 @@ impl IpfsNetwork {
             Some(OpState::Retrieve { phase: RetrievePhase::BitswapProbe, .. })
         );
         if still_probing {
-            self.queue
-                .schedule(self.cfg.bitswap_probe_timeout, NetEvent::BitswapProbeTimeout { op });
+            self.queue.schedule(BITSWAP_PROBE_TIMEOUT, NetEvent::BitswapProbeTimeout { op });
             self.dtrace
                 .record_with(op, t0, || TraceEventKind::TimerArmed { timer: "bitswap_probe" });
             if self.cfg.parallel_dht_and_bitswap {
@@ -2021,10 +2020,10 @@ impl IpfsNetwork {
                     response.forwarded_hops(),
                     0,
                     now,
-                    now + self.cfg.server_processing,
+                    now + SERVER_PROCESSING,
                 );
             }
-            let delay = self.cfg.server_processing + self.one_way(to, from);
+            let delay = SERVER_PROCESSING + self.one_way(to, from);
             if self.degraded_loss(to, from) {
                 return; // requester's guard timeout will fire
             }
@@ -2083,7 +2082,7 @@ impl IpfsNetwork {
         };
         if in_progress {
             // Guard the continuing transfer like any fetch.
-            self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
+            self.queue.schedule(FETCH_TIMEOUT, NetEvent::FetchTimeout { op });
             return;
         }
         self.metrics.incr(names::BITSWAP_PROBE_TIMEOUTS);
@@ -2498,7 +2497,7 @@ impl IpfsNetwork {
         // The connection from the walk may already be gone (conn-manager
         // pruning / churn between response and store): the re-dial then
         // burns a transport timeout — the source of Figure 9c's spikes.
-        let stale = self.rng.random_range(0.0..1.0) < self.cfg.stale_dial_prob;
+        let stale = self.rng.random_range(0.0..1.0) < STALE_DIAL_PROB;
         match (stale, self.dial(from, &to.peer)) {
             (false, Some((target, connect_delay))) => {
                 let delay = connect_delay + self.one_way(from, target);
@@ -2534,7 +2533,7 @@ impl IpfsNetwork {
         keys: Arc<Vec<Key>>,
         provider: Arc<PeerInfo>,
     ) {
-        let stale = self.rng.random_range(0.0..1.0) < self.cfg.stale_dial_prob;
+        let stale = self.rng.random_range(0.0..1.0) < STALE_DIAL_PROB;
         match (stale, self.dial(from, &to.peer)) {
             (false, Some((target, connect_delay))) => {
                 let delay = connect_delay + self.one_way(from, target);
@@ -2563,7 +2562,7 @@ impl IpfsNetwork {
         key: Key,
         value: Vec<u8>,
     ) {
-        let stale = self.rng.random_range(0.0..1.0) < self.cfg.stale_dial_prob;
+        let stale = self.rng.random_range(0.0..1.0) < STALE_DIAL_PROB;
         match (stale, self.dial(from, &to.peer)) {
             (false, Some((target, connect_delay))) => {
                 let delay = connect_delay + self.one_way(from, target);
@@ -2636,7 +2635,7 @@ impl IpfsNetwork {
                         NetEvent::FetchConnected { op, provider: provider.peer.clone() },
                     );
                     if !guard_armed {
-                        self.queue.schedule(self.cfg.fetch_timeout, NetEvent::FetchTimeout { op });
+                        self.queue.schedule(FETCH_TIMEOUT, NetEvent::FetchTimeout { op });
                         self.dtrace.record_with(op, now, || TraceEventKind::TimerArmed {
                             timer: "fetch_guard",
                         });
@@ -2653,7 +2652,7 @@ impl IpfsNetwork {
         if !guard_armed {
             // Every provider unreachable: the retrieval fails once the
             // slowest dial timeout has burned.
-            let delay = fail_delays.into_iter().max().unwrap_or(self.cfg.fetch_timeout);
+            let delay = fail_delays.into_iter().max().unwrap_or(FETCH_TIMEOUT);
             self.queue.schedule(delay, NetEvent::FetchTimeout { op });
         }
     }

@@ -1,27 +1,21 @@
 //! The discrete-event scheduler.
 //!
-//! A single-threaded, deterministic event loop: events are (time, sequence)
+//! A single-threaded, deterministic event queue: events are (time, sequence)
 //! ordered; ties break by insertion order so identical seeds replay
-//! identically. The engine is generic over the event payload — the IPFS
+//! identically. The queue is generic over the event payload — the IPFS
 //! layer defines its own event enum (message deliveries, timer fires, churn
-//! transitions) and a handler callback.
+//! transitions) and runs its own dispatch loop over [`EventQueue::pop`].
 //!
-//! Two scheduler implementations sit behind [`EventQueue`]:
-//!
-//! * [`SchedulerKind::Wheel`] (default) — a hierarchical timing wheel
-//!   (hashed-and-hierarchical, calendar-queue style): [`LEVELS`] levels of
-//!   [`SLOTS`] slots each, ~1.05 ms granularity at level 0, each level 256×
-//!   coarser (level 0 spans ~0.27 s, level 1 ~69 s, level 2 ~4.9 h, level 3
-//!   ~52 days … level 5 the whole `u64` nanosecond range). `schedule` is
-//!   O(1); `pop` amortizes slot drains and cascades over the events they
-//!   move. Dispatch order is **exactly** the reference `(time, seq)` order:
-//!   a drained level-0 slot is sorted before it reaches the ready buffer,
-//!   and coarser slots cascade down before anything inside them can fire.
-//! * [`SchedulerKind::Heap`] — the original binary-heap scheduler, kept as
-//!   the reference implementation and selectable with `IPFS_REPRO_SCHED=heap`.
-//!
-//! Both implementations produce identical pop sequences (property-tested
-//! below), so every simulation artifact is byte-invariant under the switch.
+//! [`EventQueue`] is a hierarchical timing wheel (hashed-and-hierarchical,
+//! calendar-queue style): [`LEVELS`] levels of [`SLOTS`] slots each,
+//! ~1.05 ms granularity at level 0, each level 256× coarser (level 0 spans
+//! ~0.27 s, level 1 ~69 s, level 2 ~4.9 h, level 3 ~52 days … level 5 the
+//! whole `u64` nanosecond range). `schedule` is O(1); `pop` amortizes slot
+//! drains and cascades over the events they move. Dispatch order is
+//! **exactly** the `(time, seq)` order of a binary heap: a drained level-0
+//! slot is sorted before it reaches the ready buffer, and coarser slots
+//! cascade down before anything inside them can fire. This module's tests
+//! compare the wheel, call for call, with a binary-heap reference model.
 //!
 //! [`EventQueue::schedule_cancellable`] returns a [`TimerId`] that can be
 //! O(1)-cancelled later: the entry is tombstoned and physically removed
@@ -30,10 +24,7 @@
 //! already-fired timer is a no-op that returns `false`.
 
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// An event queued for a future instant.
 #[derive(Debug, Clone)]
@@ -46,49 +37,12 @@ pub struct ScheduledEvent<E> {
     pub event: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Handle to a pending cancellable timer (see
 /// [`EventQueue::schedule_cancellable`]). Wraps the event's unique sequence
 /// number, which doubles as a generation stamp: seqs are never reused, so a
 /// stale handle can never cancel a different timer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(u64);
-
-/// Which scheduler backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Reference `BinaryHeap` scheduler (O(log n) schedule/pop).
-    Heap,
-    /// Hierarchical timing wheel (O(1) schedule, amortized pop).
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Reads `IPFS_REPRO_SCHED` (`heap` | `wheel`); defaults to the wheel.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("IPFS_REPRO_SCHED").as_deref() {
-            Ok("heap") => SchedulerKind::Heap,
-            Ok("wheel") | Err(_) => SchedulerKind::Wheel,
-            Ok(other) => panic!("IPFS_REPRO_SCHED must be 'heap' or 'wheel', got {other:?}"),
-        }
-    }
-}
 
 /// log2 of the slot count per wheel level.
 const SLOT_BITS: u32 = 8;
@@ -278,41 +232,10 @@ impl<E> TimerWheel<E> {
     }
 }
 
-/// The physical scheduler behind an [`EventQueue`].
-#[derive(Debug)]
-enum SchedulerImpl<E> {
-    Reference(BinaryHeap<Reverse<ScheduledEvent<E>>>),
-    Wheel(TimerWheel<E>),
-}
-
-impl<E> SchedulerImpl<E> {
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.push(Reverse(ev)),
-            SchedulerImpl::Wheel(wheel) => wheel.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.pop().map(|Reverse(ev)| ev),
-            SchedulerImpl::Wheel(wheel) => wheel.pop(),
-        }
-    }
-
-    fn peek(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            SchedulerImpl::Reference(heap) => heap.peek().map(|Reverse(e)| (e.at, e.seq)),
-            SchedulerImpl::Wheel(wheel) => wheel.peek(),
-        }
-    }
-}
-
-/// The pending-event queue. Split from [`Engine`] so event handlers can
-/// schedule follow-up events while the engine is mid-dispatch.
+/// The pending-event queue, backed by the timing wheel.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    sched: SchedulerImpl<E>,
+    wheel: TimerWheel<E>,
     next_seq: u64,
     now: SimTime,
     /// Logical pending count (excludes cancelled-but-not-yet-removed).
@@ -330,33 +253,15 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero, with the scheduler selected by
-    /// `IPFS_REPRO_SCHED` (wheel unless overridden — see [`SchedulerKind`]).
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::from_env())
-    }
-
-    /// Creates an empty queue at time zero on an explicit scheduler.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let sched = match kind {
-            SchedulerKind::Heap => SchedulerImpl::Reference(BinaryHeap::new()),
-            SchedulerKind::Wheel => SchedulerImpl::Wheel(TimerWheel::new()),
-        };
         EventQueue {
-            sched,
+            wheel: TimerWheel::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             pending: 0,
             live: HashSet::new(),
             cancelled: HashSet::new(),
-        }
-    }
-
-    /// Which scheduler implementation backs this queue.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.sched {
-            SchedulerImpl::Reference(_) => SchedulerKind::Heap,
-            SchedulerImpl::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -416,7 +321,7 @@ impl<E> EventQueue<E> {
     pub fn schedule_at_keyed(&mut self, at: SimTime, key: u64, event: E) {
         assert!(at >= self.now, "keyed event scheduled in the past");
         self.pending += 1;
-        self.sched.push(ScheduledEvent { at, seq: key, event });
+        self.wheel.push(ScheduledEvent { at, seq: key, event });
     }
 
     fn push_event(&mut self, at: SimTime, event: E) -> u64 {
@@ -424,14 +329,14 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending += 1;
-        self.sched.push(ScheduledEvent { at, seq, event });
+        self.wheel.push(ScheduledEvent { at, seq, event });
         seq
     }
 
     /// Pops the next event, advancing the clock to its instant.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         loop {
-            let ev = self.sched.pop()?;
+            let ev = self.wheel.pop()?;
             if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
                 continue; // tombstone of a cancelled timer
             }
@@ -461,9 +366,9 @@ impl<E> EventQueue<E> {
     /// changes anything observable.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            let (at, seq) = self.sched.peek()?;
+            let (at, seq) = self.wheel.peek()?;
             if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
-                let ev = self.sched.pop().expect("peeked event must pop");
+                let ev = self.wheel.pop().expect("peeked event must pop");
                 self.cancelled.remove(&ev.seq);
                 continue;
             }
@@ -486,359 +391,410 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The simulation engine: an [`EventQueue`] plus the root RNG.
-///
-/// All randomness in a simulation must flow from [`Engine::rng`] (or RNGs
-/// seeded from it) — this is what makes runs reproducible byte-for-byte.
-pub struct Engine<E> {
-    /// The pending-event queue.
-    pub queue: EventQueue<E>,
-    /// The root deterministic RNG.
-    pub rng: StdRng,
-    events_dispatched: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-impl<E> Engine<E> {
-    /// Creates an engine seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Engine { queue: EventQueue::new(), rng: StdRng::seed_from_u64(seed), events_dispatched: 0 }
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Total events dispatched so far.
-    pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
-    }
-
-    /// Runs until the queue drains or `deadline` passes, dispatching each
-    /// event to `handler`. The handler receives the queue/RNG (via `self`)
-    /// so it can schedule more events. Returns the number of events
-    /// dispatched by this call.
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut EventQueue<E>, &mut StdRng, SimTime, E),
-    {
+    /// Pops every event due by `deadline`, handing each to `handler` with
+    /// the queue so it can schedule follow-ups (the dispatch loop netsim
+    /// runs). Returns the number dispatched.
+    fn run_until<E>(
+        q: &mut EventQueue<E>,
+        deadline: SimTime,
+        mut handler: impl FnMut(&mut EventQueue<E>, SimTime, E),
+    ) -> u64 {
         let mut n = 0;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must pop");
-            handler(&mut self.queue, &mut self.rng, ev.at, ev.event);
+        while q.peek_time().is_some_and(|at| at <= deadline) {
+            let ev = q.pop().expect("peeked event must pop");
+            handler(q, ev.at, ev.event);
             n += 1;
-            self.events_dispatched += 1;
         }
         n
     }
 
-    /// Runs until the queue is fully drained.
-    pub fn run<F>(&mut self, handler: F) -> u64
-    where
-        F: FnMut(&mut EventQueue<E>, &mut StdRng, SimTime, E),
-    {
-        self.run_until(SimTime::MAX, handler)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::Rng;
-
-    /// Runs `f` once per scheduler implementation.
-    fn for_each_kind(f: impl Fn(SchedulerKind)) {
-        f(SchedulerKind::Heap);
-        f(SchedulerKind::Wheel);
-    }
-
-    fn engine_with(kind: SchedulerKind, seed: u64) -> Engine<u32> {
-        let mut engine: Engine<u32> = Engine::new(seed);
-        engine.queue = EventQueue::with_scheduler(kind);
-        engine
-    }
-
     #[test]
     fn events_dispatch_in_time_order() {
-        for_each_kind(|kind| {
-            let mut engine = engine_with(kind, 1);
-            engine.queue.schedule(SimDuration::from_millis(30), 3);
-            engine.queue.schedule(SimDuration::from_millis(10), 1);
-            engine.queue.schedule(SimDuration::from_millis(20), 2);
-            let mut order = Vec::new();
-            engine.run(|_, _, t, e| order.push((t.as_millis(), e)));
-            assert_eq!(order, vec![(10, 1), (20, 2), (30, 3)]);
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(SimDuration::from_millis(30), 3);
+        q.schedule(SimDuration::from_millis(10), 1);
+        q.schedule(SimDuration::from_millis(20), 2);
+        let mut order = Vec::new();
+        run_until(&mut q, SimTime::MAX, |_, t, e| order.push((t.as_millis(), e)));
+        assert_eq!(order, vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for_each_kind(|kind| {
-            let mut engine = engine_with(kind, 1);
-            for i in 0..10 {
-                engine.queue.schedule(SimDuration::from_millis(5), i);
-            }
-            let mut order = Vec::new();
-            engine.run(|_, _, _, e| order.push(e));
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 0..10 {
+            q.schedule(SimDuration::from_millis(5), i);
+        }
+        let mut order = Vec::new();
+        run_until(&mut q, SimTime::MAX, |_, _, e| order.push(e));
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn handler_can_schedule_followups() {
-        for_each_kind(|kind| {
-            let mut engine = engine_with(kind, 1);
-            engine.queue.schedule(SimDuration::from_secs(1), 0);
-            let mut count = 0u32;
-            engine.run(|q, _, _, e| {
-                count += 1;
-                if e < 5 {
-                    q.schedule(SimDuration::from_secs(1), e + 1);
-                }
-            });
-            assert_eq!(count, 6);
-            assert_eq!(engine.now(), SimTime::ZERO + SimDuration::from_secs(6));
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(SimDuration::from_secs(1), 0);
+        let mut count = 0u32;
+        run_until(&mut q, SimTime::MAX, |q, _, e| {
+            count += 1;
+            if e < 5 {
+                q.schedule(SimDuration::from_secs(1), e + 1);
+            }
         });
+        assert_eq!(count, 6);
+        assert_eq!(q.now(), secs(6));
     }
 
     #[test]
     fn run_until_respects_deadline() {
-        for_each_kind(|kind| {
-            let mut engine = engine_with(kind, 1);
-            for i in 1..=10 {
-                engine.queue.schedule(SimDuration::from_secs(i), i as u32);
-            }
-            let n = engine.run_until(SimTime::ZERO + SimDuration::from_secs(5), |_, _, _, _| {});
-            assert_eq!(n, 5);
-            assert_eq!(engine.queue.len(), 5);
-            // Clock sits at the last dispatched event, not the deadline.
-            assert_eq!(engine.now(), SimTime::ZERO + SimDuration::from_secs(5));
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for i in 1..=10 {
+            q.schedule(SimDuration::from_secs(i), i as u32);
+        }
+        assert_eq!(run_until(&mut q, secs(5), |_, _, _| {}), 5);
+        assert_eq!(q.len(), 5);
+        // Clock sits at the last dispatched event, not the deadline.
+        assert_eq!(q.now(), secs(5));
     }
 
     #[test]
     fn past_events_clamp_to_now() {
-        for_each_kind(|kind| {
-            let mut engine = engine_with(kind, 1);
-            engine.queue.schedule(SimDuration::from_secs(10), 1);
-            let mut seen = Vec::new();
-            engine.run(|q, _, t, e| {
-                seen.push((t.as_millis(), e));
-                if e == 1 {
-                    // "Past" absolute time: must clamp to now (10s), not 1s.
-                    q.schedule_at(SimTime::ZERO + SimDuration::from_secs(1), 2);
-                }
-            });
-            assert_eq!(seen, vec![(10_000, 1), (10_000, 2)]);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(SimDuration::from_secs(10), 1);
+        let mut seen = Vec::new();
+        run_until(&mut q, SimTime::MAX, |q, t, e| {
+            seen.push((t.as_millis(), e));
+            if e == 1 {
+                // "Past" absolute time: must clamp to now (10s), not 1s.
+                q.schedule_at(secs(1), 2);
+            }
         });
+        assert_eq!(seen, vec![(10_000, 1), (10_000, 2)]);
     }
 
     #[test]
     fn advance_to_clamps_to_pending_events_and_now() {
-        for_each_kind(|kind| {
-            let mut q: EventQueue<u32> = EventQueue::with_scheduler(kind);
-            q.schedule(SimDuration::from_secs(10), 1);
-            // Free advance below the next event.
-            assert_eq!(
-                q.advance_to(SimTime::ZERO + SimDuration::from_secs(4)),
-                SimTime::ZERO + SimDuration::from_secs(4)
-            );
-            // Cannot move backwards.
-            assert_eq!(
-                q.advance_to(SimTime::ZERO + SimDuration::from_secs(1)),
-                SimTime::ZERO + SimDuration::from_secs(4)
-            );
-            // Cannot jump past the pending event.
-            assert_eq!(
-                q.advance_to(SimTime::ZERO + SimDuration::from_secs(60)),
-                SimTime::ZERO + SimDuration::from_secs(10)
-            );
-            let ev = q.pop().expect("event still pending");
-            assert_eq!(ev.at, SimTime::ZERO + SimDuration::from_secs(10));
-            // With an empty queue the clock advances freely.
-            assert_eq!(
-                q.advance_to(SimTime::ZERO + SimDuration::from_secs(60)),
-                SimTime::ZERO + SimDuration::from_secs(60)
-            );
-            assert_eq!(q.now(), SimTime::ZERO + SimDuration::from_secs(60));
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.schedule(SimDuration::from_secs(10), 1);
+        assert_eq!(q.advance_to(secs(4)), secs(4), "free advance below the next event");
+        assert_eq!(q.advance_to(secs(1)), secs(4), "cannot move backwards");
+        assert_eq!(q.advance_to(secs(60)), secs(10), "cannot jump past the pending event");
+        assert_eq!(q.pop().expect("event still pending").at, secs(10));
+        // With an empty queue the clock advances freely.
+        assert_eq!(q.advance_to(secs(60)), secs(60));
+        assert_eq!(q.now(), secs(60));
     }
 
     #[test]
     fn far_future_timers_cascade_in_order() {
-        for_each_kind(|kind| {
-            let mut q: EventQueue<u32> = EventQueue::with_scheduler(kind);
-            // Paper-realistic standing timers: 12 h republish, 10 min
-            // refresh, sub-second RPCs — all interleaved.
-            q.schedule(SimDuration::from_hours(12), 4);
-            q.schedule(SimDuration::from_mins(10), 3);
-            q.schedule(SimDuration::from_millis(250), 1);
-            q.schedule(SimDuration::from_secs(30), 2);
-            let mut order = Vec::new();
-            while let Some(ev) = q.pop() {
-                order.push(ev.event);
-            }
-            assert_eq!(order, vec![1, 2, 3, 4]);
-            assert_eq!(q.now(), SimTime::ZERO + SimDuration::from_hours(12));
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        // Paper-realistic standing timers: 12 h republish, 10 min
+        // refresh, sub-second RPCs — all interleaved.
+        q.schedule(SimDuration::from_hours(12), 4);
+        q.schedule(SimDuration::from_mins(10), 3);
+        q.schedule(SimDuration::from_millis(250), 1);
+        q.schedule(SimDuration::from_secs(30), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|ev| ev.event).collect();
+        assert_eq!(order, vec![1, 2, 3, 4]);
+        assert_eq!(q.now(), secs(12 * 3600));
     }
 
     #[test]
     fn cancel_prevents_dispatch_exactly_once() {
-        for_each_kind(|kind| {
-            let mut q: EventQueue<u32> = EventQueue::with_scheduler(kind);
-            let keep = q.schedule_cancellable(SimDuration::from_secs(1), 1);
-            let drop_ = q.schedule_cancellable(SimDuration::from_secs(2), 2);
-            q.schedule(SimDuration::from_secs(3), 3);
-            assert_eq!(q.len(), 3);
-            assert!(q.cancel(drop_));
-            assert_eq!(q.len(), 2);
-            assert!(!q.cancel(drop_), "double cancel is a no-op");
-            let mut order = Vec::new();
-            while let Some(ev) = q.pop() {
-                order.push(ev.event);
-            }
-            assert_eq!(order, vec![1, 3]);
-            assert!(!q.cancel(keep), "cancelling a fired timer is a no-op");
-            assert!(q.is_empty());
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let keep = q.schedule_cancellable(SimDuration::from_secs(1), 1);
+        let drop_ = q.schedule_cancellable(SimDuration::from_secs(2), 2);
+        q.schedule(SimDuration::from_secs(3), 3);
+        assert_eq!(q.len(), 3);
+        assert!(q.cancel(drop_));
+        assert_eq!(q.len(), 2);
+        assert!(!q.cancel(drop_), "double cancel is a no-op");
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|ev| ev.event).collect();
+        assert_eq!(order, vec![1, 3]);
+        assert!(!q.cancel(keep), "cancelling a fired timer is a no-op");
+        assert!(q.is_empty());
     }
 
     #[test]
     fn cancelled_timer_never_blocks_peek_or_advance() {
-        for_each_kind(|kind| {
-            let mut q: EventQueue<u32> = EventQueue::with_scheduler(kind);
-            let t = q.schedule_cancellable(SimDuration::from_secs(5), 1);
-            q.schedule(SimDuration::from_secs(10), 2);
-            assert!(q.cancel(t));
-            // peek skips the tombstone; advance_to is not clamped by it.
-            assert_eq!(q.peek_time(), Some(SimTime::ZERO + SimDuration::from_secs(10)));
-            assert_eq!(
-                q.advance_to(SimTime::ZERO + SimDuration::from_secs(8)),
-                SimTime::ZERO + SimDuration::from_secs(8)
-            );
-            let ev = q.pop().expect("real event");
-            assert_eq!(ev.event, 2);
-            assert!(q.pop().is_none());
-        });
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let t = q.schedule_cancellable(SimDuration::from_secs(5), 1);
+        q.schedule(SimDuration::from_secs(10), 2);
+        assert!(q.cancel(t));
+        // peek skips the tombstone; advance_to is not clamped by it.
+        assert_eq!(q.peek_time(), Some(secs(10)));
+        assert_eq!(q.advance_to(secs(8)), secs(8));
+        assert_eq!(q.pop().expect("real event").event, 2);
+        assert!(q.pop().is_none());
     }
 
-    /// Reference model for the equivalence test: every observable of the
-    /// queue API, recorded step by step.
-    fn run_program(kind: SchedulerKind, ops: &[(u8, u64, u64)]) -> Vec<String> {
-        let mut q: EventQueue<u64> = EventQueue::with_scheduler(kind);
-        let mut handles: Vec<TimerId> = Vec::new();
-        let mut trace = Vec::new();
-        let mut payload = 0u64;
-        for &(op, a, b) in ops {
-            match op % 6 {
-                0 | 1 => {
-                    // Schedule at a delay spanning sub-slot ns up to years:
-                    // exercise every wheel level. Bias toward small delays
-                    // so same-instant ties actually occur.
-                    let magnitude = b % 46;
-                    let delay = a % (1u64 << magnitude).max(1);
-                    payload += 1;
-                    q.schedule(SimDuration::from_nanos(delay), payload);
-                    trace.push(format!("sched {delay} len={}", q.len()));
-                }
-                2 => {
-                    // Absolute instant, possibly in the (clamped) past.
-                    let at = SimTime::from_nanos(a % 2_000_000_000);
-                    payload += 1;
-                    q.schedule_at(at, payload);
-                    trace.push(format!("sched_at {} len={}", at.as_nanos(), q.len()));
-                }
-                3 => {
-                    let popped = q.pop().map(|ev| (ev.at.as_nanos(), ev.seq, ev.event));
-                    trace.push(format!("pop {popped:?} now={}", q.now().as_nanos()));
-                }
-                4 => {
-                    let delay = a % (1u64 << (b % 46)).max(1);
-                    payload += 1;
-                    let id = q.schedule_cancellable(SimDuration::from_nanos(delay), payload);
-                    handles.push(id);
-                    trace.push(format!("sched_c {delay} id={id:?} len={}", q.len()));
-                }
-                5 => {
-                    if b % 3 == 0 && !handles.is_empty() {
-                        let id = handles[(a as usize) % handles.len()];
-                        let hit = q.cancel(id);
-                        trace.push(format!("cancel {id:?} hit={hit} len={}", q.len()));
-                    } else {
-                        let target = q.now().saturating_add(SimDuration::from_nanos(a % (1 << 30)));
-                        let now = q.advance_to(target);
-                        trace.push(format!(
-                            "advance now={} peek={:?}",
-                            now.as_nanos(),
-                            q.peek_time()
-                        ));
-                    }
-                }
-                _ => unreachable!(),
+    /// The timing wheel and its reference, driven with the same calls;
+    /// every call asserts that both observe the same thing. The reference
+    /// is a `BinaryHeap` ordered by `(at, seq)`, with the queue's clock,
+    /// past-instant clamping, lazy cancellation and keyed tie-breaks
+    /// modelled apart from [`EventQueue`]'s bookkeeping.
+    #[derive(Default)]
+    struct Lockstep {
+        wheel: EventQueue<u64>,
+        /// Reference entries `(at, seq or key, payload)`, earliest first.
+        heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+        now: SimTime,
+        next_seq: u64,
+        /// Seqs of armed cancellable timers; of cancelled, unsurfaced ones.
+        live: HashSet<u64>,
+        cancelled: HashSet<u64>,
+        payload: u64,
+        handles: Vec<TimerId>,
+    }
+
+    impl Lockstep {
+        fn check(&self) -> usize {
+            assert_eq!(self.wheel.now(), self.now, "clocks diverged");
+            let pending = self.heap.len() - self.cancelled.len();
+            assert_eq!(self.wheel.len(), pending, "pending counts diverged");
+            pending
+        }
+
+        fn schedule_at(&mut self, at: SimTime, cancellable: bool) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.payload += 1;
+            self.heap.push(Reverse((at.max(self.now), seq, self.payload)));
+            if cancellable {
+                let id = self.wheel.schedule_at_cancellable(at, self.payload);
+                assert_eq!(id, TimerId(seq));
+                self.live.insert(seq);
+                self.handles.push(id);
+            } else {
+                self.wheel.schedule_at(at, self.payload);
+            }
+            self.check();
+        }
+
+        /// Keyed scheduling, as the sharded engine uses it: never in the
+        /// past, never mixed with the sequenced calls on one queue.
+        fn schedule_at_keyed(&mut self, at: SimTime, key: u64) {
+            self.payload += 1;
+            self.wheel.schedule_at_keyed(at, key, self.payload);
+            self.heap.push(Reverse((at, key, self.payload)));
+            self.check();
+        }
+
+        fn cancel(&mut self, pick: u64) {
+            if let Some(&id) = self.handles.get(pick as usize % self.handles.len().max(1)) {
+                let armed = self.live.remove(&id.0) && self.cancelled.insert(id.0);
+                assert_eq!(self.wheel.cancel(id), armed, "cancel {id:?}");
+                self.check();
             }
         }
-        // Drain what's left so far-future cascades are exercised too.
-        while let Some(ev) = q.pop() {
-            trace.push(format!("drain {} {} {}", ev.at.as_nanos(), ev.seq, ev.event));
+
+        /// The reference's next live instant; reclaims cancelled entries.
+        fn peek(&mut self) -> Option<SimTime> {
+            while let Some(&Reverse((at, seq, _))) = self.heap.peek() {
+                if !self.cancelled.remove(&seq) {
+                    return Some(at);
+                }
+                self.heap.pop();
+            }
+            None
         }
-        trace
+
+        fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+            let expected = self.peek().and_then(|_| self.heap.pop()).map(|Reverse(ev)| ev);
+            if let Some((at, seq, _)) = expected {
+                self.live.remove(&seq);
+                self.now = at;
+            }
+            let popped = self.wheel.pop().map(|ev| (ev.at, ev.seq, ev.event));
+            assert_eq!(popped, expected, "pop diverged");
+            self.check();
+            popped
+        }
+
+        fn advance_to(&mut self, at: SimTime) {
+            let target = at.max(self.now);
+            self.now = self.peek().map_or(target, |next| target.min(next));
+            assert_eq!(self.wheel.advance_to(at), self.now, "advance diverged");
+            assert_eq!(self.wheel.peek_time(), self.peek(), "peek diverged");
+            self.check();
+        }
+
+        /// Pops everything left (far-future cascades included); returns
+        /// how many events that was.
+        fn drain(&mut self) -> usize {
+            let n = std::iter::from_fn(|| self.pop()).count();
+            assert!(self.wheel.is_empty());
+            n
+        }
+    }
+
+    /// A delay from sub-slot nanoseconds up to ~10 h, biased toward small
+    /// values so same-instant ties actually occur.
+    fn delay(a: u64, b: u64) -> SimDuration {
+        SimDuration::from_nanos(a % (1u64 << (b % 46)).max(1))
+    }
+
+    /// An instant one ns before, on, or one or two ns past a slot boundary
+    /// of wheel level `b % LEVELS`, 0, 1, 2, `SLOTS - 1`, `SLOTS` or
+    /// `SLOTS + 1` slots past the slot holding `now`: where a cascade hands
+    /// events down a level and where a level's window ends. Capped at
+    /// 2^62 ns so later delays cannot overflow the clock.
+    fn boundary_instant(now: SimTime, a: u64, b: u64) -> SimTime {
+        let shift = level_shift((b % LEVELS as u64) as usize);
+        let k = [0, 1, 2, SLOTS - 1, SLOTS, SLOTS + 1][(b >> 8) as usize % 6] as u64;
+        let edge = ((now.as_nanos() >> shift) + k).saturating_mul(1 << shift);
+        SimTime::from_nanos((edge.min(1 << 62) + a % 4).saturating_sub(1))
+    }
+
+    /// A coarse slot wins a tie with a fine slot: its events may be
+    /// earlier than anything in the fine one. Event A waits in level 1
+    /// while B, scheduled later, lands in level 0 in the slot whose start
+    /// equals A's level-1 slot start; A must cascade before B's slot
+    /// drains.
+    #[test]
+    fn coarse_slot_cascades_before_a_tied_fine_slot() {
+        let slot1 = 1u64 << level_shift(1); // 256 level-0 slots
+        let mut q: EventQueue<char> = EventQueue::new();
+        q.schedule_at(SimTime::from_nanos(slot1 + 1), 'A');
+        q.schedule_at(SimTime::from_nanos((1 << GRANULARITY_BITS) + 7), 'x');
+        assert_eq!(q.pop().map(|ev| ev.event), Some('x'));
+        q.schedule_at(SimTime::from_nanos(slot1 + 3), 'B');
+        let order: Vec<(u64, char)> =
+            std::iter::from_fn(|| q.pop()).map(|ev| (ev.at.as_nanos(), ev.event)).collect();
+        assert_eq!(order, vec![(slot1 + 1, 'A'), (slot1 + 3, 'B')]);
     }
 
     #[test]
     fn proptest_wheel_heap_trace_equivalence() {
         use proptest::prelude::*;
         proptest!(
-            ProptestConfig::with_cases(128),
-            |(ops in proptest::collection::vec(
-                (0u8..6, any::<u64>(), any::<u64>()),
-                1..120
-            ))| {
-                let heap_trace = run_program(SchedulerKind::Heap, &ops);
-                let wheel_trace = run_program(SchedulerKind::Wheel, &ops);
-                prop_assert_eq!(heap_trace, wheel_trace);
+            ProptestConfig::with_cases(512),
+            |(ops in proptest::collection::vec((0u8..7, any::<u64>(), any::<u64>()), 1..120))| {
+                let mut q = Lockstep::default();
+                for &(op, a, b) in &ops {
+                    match op {
+                        0 | 1 => q.schedule_at(q.now + delay(a, b), false),
+                        // Absolute instant, possibly in the (clamped) past.
+                        2 => q.schedule_at(SimTime::from_nanos(a % 2_000_000_000), false),
+                        3 => drop(q.pop()),
+                        4 => q.schedule_at(q.now + delay(a, b), true),
+                        5 if b % 3 == 0 => q.cancel(a),
+                        5 => q.advance_to(q.now + SimDuration::from_nanos(a % (1 << 30))),
+                        _ => q.schedule_at(boundary_instant(q.now, a, b), a & 4 != 0),
+                    }
+                }
+                q.drain();
             }
         );
+    }
+
+    #[test]
+    fn proptest_keyed_wheel_heap_equivalence() {
+        use proptest::prelude::*;
+        proptest!(
+            ProptestConfig::with_cases(512),
+            |(ops in proptest::collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..160))| {
+                let mut q = Lockstep::default();
+                let mut last = SimTime::ZERO;
+                for (i, &(op, a, b)) in ops.iter().enumerate() {
+                    let at = match op {
+                        0 | 1 => q.now + delay(a, b),
+                        2 => boundary_instant(q.now, a, b).max(q.now),
+                        3 => last.max(q.now), // a same-instant tie
+                        4 => {
+                            q.pop();
+                            continue;
+                        }
+                        _ => {
+                            q.advance_to(q.now + SimDuration::from_nanos(a % (1 << 30)));
+                            continue;
+                        }
+                    };
+                    // Unique keys out of insertion order (an odd multiplier
+                    // is a bijection on u64): ties break on the key.
+                    q.schedule_at_keyed(at, (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    last = at;
+                }
+                q.drain();
+            }
+        );
+    }
+
+    /// A netsim-shaped timer mix: RPC hops of a few ms, the 1 s Bitswap
+    /// probe, 5 s dial and 45 s WebSocket handshake timeouts, 10 min table
+    /// refreshes, 12 h republishes and 24 h record expiry.
+    fn netsim_delay(rng: &mut StdRng) -> SimDuration {
+        match rng.random_range(0..10) {
+            0..=3 => SimDuration::from_micros(rng.random_range(500..300_000)),
+            4 => SimDuration::from_secs(1),
+            5 => SimDuration::from_secs(5),
+            6 => SimDuration::from_secs(45),
+            7 => SimDuration::from_mins(10),
+            8 => SimDuration::from_hours(12),
+            _ => SimDuration::from_hours(24),
+        }
+    }
+
+    #[test]
+    fn long_netsim_shaped_program_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(0x1F5);
+        let mut q = Lockstep::default();
+        let mut peak = 0;
+        for step in 0..72_000 {
+            match if step < 12_000 { 8 } else { rng.random_range(0..20) } {
+                0..=7 => drop(q.pop()),
+                8..=16 => q.schedule_at(q.now + netsim_delay(&mut rng), rng.random_bool(0.5)),
+                17 | 18 => q.cancel(rng.random()),
+                _ => q.advance_to(q.now + SimDuration::from_millis(rng.random_range(0..2_000))),
+            }
+            peak = peak.max(q.check());
+        }
+        assert!(peak >= 10_000, "only {peak} events were ever pending");
+        assert!(q.drain() >= 10_000);
     }
 
     #[test]
     fn proptest_dispatch_order_total() {
         use proptest::prelude::*;
         proptest!(ProptestConfig::with_cases(64), |(delays in proptest::collection::vec(0u64..1_000_000, 1..200))| {
-            for_each_kind(|kind| {
-                let mut engine: Engine<usize> = Engine::new(1);
-                engine.queue = EventQueue::with_scheduler(kind);
-                for (i, d) in delays.iter().enumerate() {
-                    engine.queue.schedule(SimDuration::from_nanos(*d), i);
-                }
-                let mut dispatched: Vec<(u64, usize)> = Vec::new();
-                engine.run(|_, _, t, e| dispatched.push((t.as_nanos(), e)));
-                assert_eq!(dispatched.len(), delays.len());
-                // Times non-decreasing; equal times dispatch in insertion order.
-                for w in dispatched.windows(2) {
-                    assert!(w[0].0 <= w[1].0);
-                    if w[0].0 == w[1].0 {
-                        assert!(w[0].1 < w[1].1, "FIFO within an instant");
-                    }
-                }
-                // Each event fires at exactly its scheduled instant.
-                for (t, e) in &dispatched {
-                    assert_eq!(*t, delays[*e]);
-                }
-            });
+            let mut q: EventQueue<usize> = EventQueue::new();
+            for (i, d) in delays.iter().enumerate() {
+                q.schedule(SimDuration::from_nanos(*d), i);
+            }
+            let mut dispatched: Vec<(u64, usize)> = Vec::new();
+            run_until(&mut q, SimTime::MAX, |_, t, e| dispatched.push((t.as_nanos(), e)));
+            assert_eq!(dispatched.len(), delays.len());
+            // Times non-decreasing; equal times dispatch in insertion order.
+            for w in dispatched.windows(2) {
+                assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+            }
+            // Each event fires at exactly its scheduled instant.
+            for (t, e) in &dispatched {
+                assert_eq!(*t, delays[*e]);
+            }
         });
     }
 
     #[test]
     fn determinism_same_seed_same_trace() {
         let trace = |seed: u64| {
-            let mut engine: Engine<u64> = Engine::new(seed);
-            engine.queue.schedule(SimDuration::ZERO, 0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.schedule(SimDuration::ZERO, 0);
             let mut out = Vec::new();
-            engine.run(|q, rng, t, e| {
+            run_until(&mut q, SimTime::MAX, |q, t, e| {
                 out.push((t.as_nanos(), e));
                 if out.len() < 100 {
                     let jitter: u64 = rng.random_range(1..1_000_000);

@@ -8,8 +8,8 @@
 //!
 //! - [`time`] — virtual time ([`SimTime`], [`SimDuration`]); nothing in the
 //!   simulation ever consults a wall clock.
-//! - [`engine`] — the event queue and scheduler; single-threaded and fully
-//!   deterministic under a fixed seed.
+//! - [`engine`] — the event queue (a hierarchical timing wheel);
+//!   single-threaded and fully deterministic under a fixed seed.
 //! - [`latency`] — an inter-region RTT/bandwidth model covering the six AWS
 //!   regions of §4.3 plus the population zones of §5.1.
 //! - [`geodb`] — synthetic geolocation: assigns IPs to countries, ASes
@@ -35,7 +35,7 @@ pub mod shard;
 pub mod time;
 
 pub use churn::{ChurnModel, SessionSchedule};
-pub use engine::{Engine, EventQueue, ScheduledEvent, SchedulerKind, TimerId};
+pub use engine::{EventQueue, ScheduledEvent, TimerId};
 pub use geodb::{AsInfo, CloudProvider, Country, GeoDb};
 pub use latency::{LatencyModel, Region, VantagePoint};
 pub use population::{LeanPopulation, Population, PopulationConfig, SimPeer};

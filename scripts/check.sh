@@ -28,22 +28,20 @@ echo "== cargo test =="
 cargo test -q
 
 echo "== throughput smoke (events/sec regression gate) =="
-# The gate runs on the wheel scheduler — the default, and the one whose
-# performance we ship.
 cargo build --release -q -p bench --bin throughput
-IPFS_REPRO_CSV_DIR="$WORK" IPFS_REPRO_SCHED=wheel ./target/release/throughput --smoke \
+IPFS_REPRO_CSV_DIR="$WORK" ./target/release/throughput --smoke \
     --check-against results/BENCH_throughput_smoke_baseline.json
 
-echo "== scheduler equivalence (heap vs wheel digest gate) =="
-# The timing wheel must be order-exactly equivalent to the BinaryHeap
-# reference: a digest run (deterministic event/walk counts + metrics
-# fingerprint, no wall-clock values) must be byte-identical under both.
-IPFS_REPRO_SCHED=heap ./target/release/throughput --smoke --digest \
-    > "$WORK/heap.txt" 2> /dev/null
-IPFS_REPRO_SCHED=wheel ./target/release/throughput --smoke --digest \
-    > "$WORK/wheel.txt" 2> /dev/null
-same_output "throughput --smoke --digest between IPFS_REPRO_SCHED=heap and =wheel" \
-    "$WORK/heap.txt" "$WORK/wheel.txt"
+echo "== simulator digest (pinned output gate) =="
+# A digest run (deterministic event/walk counts, order and metrics
+# fingerprints, bytes/node; no wall-clock values) at the default seed must
+# match the committed digest byte for byte, so any drift in simulator
+# behaviour fails here. A change that alters behaviour on purpose
+# regenerates the file with this same command.
+env -u IPFS_REPRO_SEED -u IPFS_REPRO_SCALE ./target/release/throughput --smoke --digest \
+    > "$WORK/digest.txt" 2> /dev/null
+same_output "throughput --smoke --digest against results/throughput_smoke_digest.txt" \
+    results/throughput_smoke_digest.txt "$WORK/digest.txt"
 
 echo "== PDES equivalence (serial vs sharded digest gate) =="
 # The region-sharded engine must reproduce the serial total order exactly:
